@@ -8,9 +8,9 @@
 namespace hdd {
 namespace distcodec {
 
-/// Little-endian integer codec shared by the dist message and activity
-/// slice encoders. Same byte conventions as the WAL's record codec, kept
-/// separate so src/dist does not reach into src/wal internals.
+/// Little-endian integer codec of the dist message encoders. Same byte
+/// conventions as the WAL's record codec, kept separate so src/dist does
+/// not reach into src/wal internals.
 
 inline void PutU8(std::string* out, std::uint8_t v) {
   out->push_back(static_cast<char>(v));

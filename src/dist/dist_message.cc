@@ -1,6 +1,5 @@
 #include "dist/dist_message.h"
 
-#include "dist/activity_slice.h"
 #include "dist/codec.h"
 
 namespace hdd {
@@ -44,16 +43,21 @@ bool ConsumeType(std::string_view* in, DistMsgType expected) {
   return GetU8(in, &type) && type == static_cast<std::uint8_t>(expected);
 }
 
+// A count read off the wire is believed only when its records fit in the
+// bytes left, so a hostile count is rejected before anything is reserved.
+bool CountFits(std::uint32_t count, std::size_t record_bytes,
+               std::string_view in) {
+  return static_cast<std::uint64_t>(count) * record_bytes <= in.size();
+}
+
 }  // namespace
 
 std::string EncodeActivityReq(const ActivityReq& req) {
   std::string out;
   PutU8(&out, static_cast<std::uint8_t>(DistMsgType::kActivityReq));
-  PutU64(&out, req.frontier);
-  PutU32(&out, static_cast<std::uint32_t>(req.classes.size()));
-  for (const ClassId c : req.classes) {
-    PutU32(&out, static_cast<std::uint32_t>(c));
-  }
+  PutU64(&out, req.stab);
+  PutU32(&out, static_cast<std::uint32_t>(req.run.size()));
+  for (const ClassId c : req.run) PutU32(&out, static_cast<std::uint32_t>(c));
   return out;
 }
 
@@ -62,16 +66,17 @@ Result<ActivityReq> DecodeActivityReq(std::string_view payload) {
   ActivityReq req;
   std::uint32_t count = 0;
   if (!ConsumeType(&in, DistMsgType::kActivityReq) ||
-      !GetU64(&in, &req.frontier) || !GetU32(&in, &count)) {
+      !GetU64(&in, &req.stab) || !GetU32(&in, &count) ||
+      !CountFits(count, 4, in)) {
     return Status::Corruption("activity request: truncated");
   }
-  req.classes.reserve(count);
+  req.run.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t c = 0;
     if (!GetU32(&in, &c)) {
-      return Status::Corruption("activity request: truncated class list");
+      return Status::Corruption("activity request: truncated class run");
     }
-    req.classes.push_back(static_cast<ClassId>(c));
+    req.run.push_back(static_cast<ClassId>(c));
   }
   return req;
 }
@@ -81,6 +86,7 @@ std::string EncodeSnapshotReq(const SnapshotReq& req) {
   PutU8(&out, static_cast<std::uint8_t>(DistMsgType::kSnapshotReq));
   PutU32(&out, static_cast<std::uint32_t>(req.segment));
   PutU32(&out, req.index);
+  PutU64(&out, req.bound);
   return out;
 }
 
@@ -89,7 +95,8 @@ Result<SnapshotReq> DecodeSnapshotReq(std::string_view payload) {
   SnapshotReq req;
   std::uint32_t segment = 0;
   if (!ConsumeType(&in, DistMsgType::kSnapshotReq) ||
-      !GetU32(&in, &segment) || !GetU32(&in, &req.index)) {
+      !GetU32(&in, &segment) || !GetU32(&in, &req.index) ||
+      !GetU64(&in, &req.bound)) {
     return Status::Corruption("snapshot request: truncated");
   }
   req.segment = static_cast<SegmentId>(segment);
@@ -117,7 +124,7 @@ Result<PrepareReq> DecodePrepareReq(std::string_view payload) {
   std::uint32_t count = 0;
   if (!ConsumeType(&in, DistMsgType::kPrepareReq) || !GetU64(&in, &req.txn) ||
       !GetU64(&in, &req.init_ts) || !GetU32(&in, &segment) ||
-      !GetU32(&in, &count)) {
+      !GetU32(&in, &count) || !CountFits(count, 12, in)) {
     return Status::Corruption("prepare request: truncated");
   }
   req.segment = static_cast<SegmentId>(segment);
@@ -161,62 +168,43 @@ std::string EncodeClockReq(DistMsgType type) {
   return out;
 }
 
-std::string EncodeSlices(const std::vector<ActivitySlice>& slices) {
+std::string EncodeOldestActiveReply(const std::vector<Timestamp>& values) {
   std::string out;
-  PutU32(&out, static_cast<std::uint32_t>(slices.size()));
-  for (const ActivitySlice& slice : slices) EncodeActivitySlice(slice, &out);
+  PutU32(&out, static_cast<std::uint32_t>(values.size()));
+  for (const Timestamp v : values) PutU64(&out, v);
   return out;
 }
 
-Result<std::vector<ActivitySlice>> DecodeSlices(std::string_view payload) {
+Result<std::vector<Timestamp>> DecodeOldestActiveReply(
+    std::string_view payload) {
   std::string_view in = payload;
   std::uint32_t count = 0;
-  if (!GetU32(&in, &count)) {
-    return Status::Corruption("slice response: truncated");
+  if (!GetU32(&in, &count) || !CountFits(count, 8, in)) {
+    return Status::Corruption("I^old reply: truncated");
   }
-  std::vector<ActivitySlice> slices;
-  slices.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    HDD_ASSIGN_OR_RETURN(ActivitySlice slice, DecodeActivitySlice(&in));
-    slices.push_back(std::move(slice));
+  std::vector<Timestamp> values(count);
+  for (Timestamp& v : values) {
+    if (!GetU64(&in, &v)) return Status::Corruption("I^old reply: truncated");
   }
-  return slices;
+  return values;
 }
 
-std::string EncodeVersions(const std::vector<Version>& versions) {
+std::string EncodeSnapshotReply(const SnapshotReply& reply) {
   std::string out;
-  PutU32(&out, static_cast<std::uint32_t>(versions.size()));
-  for (const Version& v : versions) {
-    PutU64(&out, v.order_key);
-    PutU64(&out, v.wts);
-    PutU64(&out, v.rts);
-    PutU64(&out, v.creator);
-    PutU64(&out, static_cast<std::uint64_t>(v.value));
-  }
+  PutU64(&out, reply.order_key);
+  PutU64(&out, static_cast<std::uint64_t>(reply.value));
   return out;
 }
 
-Result<std::vector<Version>> DecodeVersions(std::string_view payload) {
+Result<SnapshotReply> DecodeSnapshotReply(std::string_view payload) {
   std::string_view in = payload;
-  std::uint32_t count = 0;
-  if (!GetU32(&in, &count)) {
-    return Status::Corruption("version response: truncated");
+  SnapshotReply reply;
+  std::uint64_t value = 0;
+  if (!GetU64(&in, &reply.order_key) || !GetU64(&in, &value)) {
+    return Status::Corruption("snapshot reply: truncated");
   }
-  std::vector<Version> versions;
-  versions.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Version v;
-    std::uint64_t value = 0;
-    if (!GetU64(&in, &v.order_key) || !GetU64(&in, &v.wts) ||
-        !GetU64(&in, &v.rts) || !GetU64(&in, &v.creator) ||
-        !GetU64(&in, &value)) {
-      return Status::Corruption("version response: truncated version");
-    }
-    v.value = static_cast<Value>(value);
-    v.committed = true;  // only committed versions are ever shipped
-    versions.push_back(v);
-  }
-  return versions;
+  reply.value = static_cast<Value>(value);
+  return reply;
 }
 
 std::string EncodeTimestamp(Timestamp ts) {

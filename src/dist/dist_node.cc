@@ -1,38 +1,55 @@
 #include "dist/dist_node.h"
 
-#include <utility>
 #include <vector>
 
 #include "dist/dist_message.h"
 
 namespace hdd {
 
+// The two Protocol A handlers answer with what the requester's bound
+// needs, never with the state it is computed from, so their replies are
+// as large as the question, however long the node has run. Soundness:
+//
+//  1. I^old is stable for v at or below the clock. The stab time of a
+//     kActivityReq is at most the requester's I(t), a tick the shared
+//     clock already issued, so every transaction that could be active at
+//     v has initiated and registered at its home. Later begins and
+//     finishes cannot change I^old(v): the reply is the value every
+//     evaluation at v returns, now or later, which is also why the
+//     requester may memoize it.
+//  2. The bound is fixed before the version is chosen. A kSnapshotReq
+//     carries the finished A_i^j(I(t)); the owner only selects the latest
+//     committed version below it, under the segment's shard latch. By
+//     Theorem 1 every transaction that can write below that bound has
+//     finished, and 2PC marks remote copies committed before the
+//     coordinator deregisters, so the selection is final.
+//  3. The owner records nothing. Neither handler sets a read lock or a
+//     read timestamp or keeps any note of the reader, so registration
+//     stays a structural zero (MessageCounters::registration_messages).
 Result<std::string> DistNode::Handle(int from, const std::string& request) {
   (void)from;
   switch (PeekDistMsgType(request)) {
     case DistMsgType::kActivityReq: {
       HDD_ASSIGN_OR_RETURN(ActivityReq req, DecodeActivityReq(request));
-      std::vector<ActivitySlice> slices;
-      slices.reserve(req.classes.size());
-      for (const ClassId c : req.classes) {
-        HDD_ASSIGN_OR_RETURN(ActivitySlice slice,
-                             cc_->ExportActivitySlice(c, req.frontier));
-        slices.push_back(std::move(slice));
-      }
-      return EncodeSlices(slices);
+      HDD_ASSIGN_OR_RETURN(std::vector<Timestamp> values,
+                           cc_->OldestActiveAlong(req.run, req.stab));
+      return EncodeOldestActiveReply(values);
     }
     case DistMsgType::kSnapshotReq: {
       HDD_ASSIGN_OR_RETURN(SnapshotReq req, DecodeSnapshotReq(request));
-      HDD_ASSIGN_OR_RETURN(std::vector<Version> versions,
-                           cc_->ExportVersions(req.segment, req.index));
+      HDD_ASSIGN_OR_RETURN(
+          const Version version,
+          cc_->CommittedVersionBelow(GranuleRef{req.segment, req.index},
+                                     req.bound));
       // Cross-node read barrier: a committed version is marked in memory
       // in the same latch window that appends its commit record, but the
       // single-WAL ticket argument that makes local acked reads
       // crash-proof does not span nodes. Syncing this node's WAL before
-      // the snapshot leaves guarantees every shipped committed version
-      // survives recovery — a requester's acked result never dangles.
+      // the reply leaves guarantees the served version survives recovery
+      // — a requester's acked result never dangles.
       HDD_RETURN_IF_ERROR(cc_->AwaitWalReadStable());
-      return EncodeVersions(versions);
+      return EncodeSnapshotReply(SnapshotReply{version.order_key,
+                                               version.value});
     }
     case DistMsgType::kPrepareReq: {
       HDD_ASSIGN_OR_RETURN(PrepareReq req, DecodePrepareReq(request));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -11,6 +10,68 @@
 #include "sim/sim_scheduler.h"
 
 namespace hdd {
+
+DistLinkEvaluator::DistLinkEvaluator(int node_id, const ShardMap* map,
+                                     Transport* transport, HddController* cc)
+    : node_id_(node_id), map_(map), transport_(transport), cc_(cc) {}
+
+Result<Timestamp> DistLinkEvaluator::A(ClassId i, ClassId j, Timestamp m) {
+  std::optional<std::vector<NodeId>> path =
+      cc_->class_tst().CriticalPath(i, j);
+  if (!path.has_value()) {
+    return Status::InvalidArgument("dist: no critical path for A");
+  }
+  // I^old applies at every class strictly above i, as in
+  // ActivityLinkEvaluator::A; A_i^i(m) = m.
+  return ComposeOldestActive(std::vector<ClassId>(path->begin() + 1,
+                                                  path->end()),
+                             m);
+}
+
+Result<Timestamp> DistLinkEvaluator::ComposeOldestActive(
+    const std::vector<ClassId>& path, Timestamp m) {
+  Timestamp value = m;
+  std::size_t k = 0;
+  while (k < path.size()) {
+    const auto known = memo_.find({path[k], value});
+    if (known != memo_.end()) {
+      value = known->second;
+      ++k;
+      continue;
+    }
+    // The maximal run of path classes from k homed at one node: answered
+    // in one step, locally or by one message.
+    const int home = map_->home(path[k]);
+    std::size_t end = k + 1;
+    while (end < path.size() && map_->home(path[end]) == home) ++end;
+    const std::vector<ClassId> run(
+        path.begin() + static_cast<std::ptrdiff_t>(k),
+        path.begin() + static_cast<std::ptrdiff_t>(end));
+    std::vector<Timestamp> answers;
+    if (home == node_id_) {
+      HDD_ASSIGN_OR_RETURN(answers, cc_->OldestActiveAlong(run, value));
+    } else {
+      HDD_ASSIGN_OR_RETURN(
+          std::string body,
+          transport_->Call(node_id_, home,
+                           EncodeActivityReq(ActivityReq{value, run}),
+                           /*interruptible=*/true));
+      HDD_ASSIGN_OR_RETURN(answers, DecodeOldestActiveReply(body));
+    }
+    if (answers.size() != run.size()) {
+      return Status::Corruption("dist: I^old reply does not match the run");
+    }
+    for (std::size_t r = 0; r < run.size(); ++r) {
+      if (answers[r] > value) {
+        return Status::Corruption("dist: I^old above its argument");
+      }
+      memo_.emplace(std::make_pair(run[r], value), answers[r]);
+      value = answers[r];
+    }
+    k = end;
+  }
+  return value;
+}
 
 DistSession::DistSession(int node_id, const ShardMap* map,
                          Transport* transport, HddController* cc,
@@ -21,67 +82,30 @@ DistSession::DistSession(int node_id, const ShardMap* map,
       cc_(cc),
       options_(options) {}
 
-Status DistSession::EnsureSlices(AttemptState& state,
-                                 const std::vector<ClassId>& classes,
-                                 Timestamp frontier) {
-  std::map<int, std::vector<ClassId>> remote;  // home node -> classes
-  for (const ClassId c : classes) {
-    if (state.slices.Has(c)) continue;
-    const int home = map_->home(c);
-    if (home == node_id_) {
-      HDD_ASSIGN_OR_RETURN(ActivitySlice slice,
-                           cc_->ExportActivitySlice(c, frontier));
-      state.slices.Install(slice);
-    } else {
-      remote[home].push_back(c);
-    }
-  }
-  for (const auto& [home, cls] : remote) {
-    ActivityReq req;
-    req.frontier = frontier;
-    req.classes = cls;
-    HDD_ASSIGN_OR_RETURN(
-        std::string body,
-        transport_->Call(node_id_, home, EncodeActivityReq(req),
-                         /*interruptible=*/true));
-    HDD_ASSIGN_OR_RETURN(std::vector<ActivitySlice> slices,
-                         DecodeSlices(body));
-    for (const ActivitySlice& slice : slices) state.slices.Install(slice);
-  }
-  return Status::OK();
-}
-
 Result<Value> DistSession::BoundedRead(const TxnDescriptor& txn,
-                                       GranuleRef granule, Timestamp bound,
-                                       AttemptState& state) {
-  (void)state;
-  // Chains are fetched strictly AFTER the slices that produced `bound`.
-  std::vector<Version> chain;
-  if (map_->owner(granule.segment) == node_id_) {
-    HDD_ASSIGN_OR_RETURN(chain,
-                         cc_->ExportVersions(granule.segment, granule.index));
+                                       GranuleRef granule, Timestamp bound) {
+  // The bound is final before the owner sees it: the owner only selects.
+  SnapshotReply served;
+  const int owner = map_->owner(granule.segment);
+  if (owner == node_id_) {
+    HDD_ASSIGN_OR_RETURN(const Version version,
+                         cc_->CommittedVersionBelow(granule, bound));
+    served = SnapshotReply{version.order_key, version.value};
   } else {
-    SnapshotReq req;
-    req.segment = granule.segment;
-    req.index = granule.index;
     HDD_ASSIGN_OR_RETURN(
         std::string body,
-        transport_->Call(node_id_, map_->owner(granule.segment),
-                         EncodeSnapshotReq(req), /*interruptible=*/true));
-    HDD_ASSIGN_OR_RETURN(chain, DecodeVersions(body));
+        transport_->Call(node_id_, owner,
+                         EncodeSnapshotReq(SnapshotReq{granule.segment,
+                                                       granule.index, bound}),
+                         /*interruptible=*/true));
+    HDD_ASSIGN_OR_RETURN(served, DecodeSnapshotReply(body));
   }
-  const Version* pick = nullptr;
-  for (const Version& v : chain) {
-    if (v.order_key < bound && (pick == nullptr || v.order_key > pick->order_key)) {
-      pick = &v;
-    }
-  }
-  if (pick == nullptr) {
-    return Status::Internal("dist: no committed version below bound");
+  if (served.order_key >= bound) {
+    return Status::Corruption("dist: snapshot reply not below the bound");
   }
   HDD_RETURN_IF_ERROR(
-      cc_->RecordExternalRead(txn, granule, pick->order_key, bound));
-  return pick->value;
+      cc_->RecordExternalRead(txn, granule, served.order_key, bound));
+  return served.value;
 }
 
 Result<Value> DistSession::ReadOp(const TxnDescriptor& txn, GranuleRef granule,
@@ -106,9 +130,9 @@ Result<Value> DistSession::ReadOp(const TxnDescriptor& txn, GranuleRef granule,
     }
     // Local fast path: the bound only composes I^old of classes homed
     // here, and the chain is owned here — the plain controller read is
-    // byte-identical to the slice evaluation. A remote-homed class on the
+    // byte-identical to the bounded path. A remote-homed class on the
     // path makes the local activity table a stand-in (empty => I^old = m,
-    // an unsound overestimate), so those reads MUST take the slice path.
+    // an unsound overestimate), so those reads MUST take the bounded path.
     bool all_local = map_->owner(granule.segment) == node_id_;
     for (const NodeId c : *path) {
       if (map_->home(static_cast<ClassId>(c)) != node_id_) all_local = false;
@@ -118,41 +142,24 @@ Result<Value> DistSession::ReadOp(const TxnDescriptor& txn, GranuleRef granule,
     }
     Timestamp bound = txn.init_ts;  // the canary's "unbounded" snapshot
     if (!options_.mutation_stale_bound_snapshot) {
-      std::vector<ClassId> above(path->begin() + 1, path->end());
-      HDD_RETURN_IF_ERROR(EnsureSlices(state, above, txn.init_ts));
-      ActivityLinkEvaluator eval(&tst, &state.slices);
-      HDD_ASSIGN_OR_RETURN(bound, eval.A(own, target, txn.init_ts));
+      HDD_ASSIGN_OR_RETURN(bound, state.links.A(own, target, txn.init_ts));
     }
-    return BoundedRead(txn, granule, bound, state);
+    return BoundedRead(txn, granule, bound);
   }
 
-  // Hosted read-only transaction on the slice path (§5.0 generalized):
+  // Hosted read-only transaction on the bounded path (§5.0 generalized):
   // reads must stay inside the declared scope.
   if (std::find(scope.begin(), scope.end(), granule.segment) == scope.end()) {
     return Status::InvalidArgument("dist: read outside declared scope");
   }
   Timestamp bound = txn.init_ts;  // the canary's "unbounded" snapshot
   if (!options_.mutation_stale_bound_snapshot) {
-    if (!state.base_ready) {
-      HDD_RETURN_IF_ERROR(EnsureSlices(state, {state.host}, txn.init_ts));
-      state.base = state.slices.OldestActiveAt(state.host, txn.init_ts);
-      state.base_ready = true;
-    }
-    if (target == state.host) {
-      bound = state.base;
-    } else {
-      std::optional<std::vector<NodeId>> path =
-          tst.CriticalPath(state.host, target);
-      if (!path.has_value()) {
-        return Status::InvalidArgument("dist: scope is not host-reachable");
-      }
-      std::vector<ClassId> above(path->begin() + 1, path->end());
-      HDD_RETURN_IF_ERROR(EnsureSlices(state, above, txn.init_ts));
-      ActivityLinkEvaluator eval(&tst, &state.slices);
-      HDD_ASSIGN_OR_RETURN(bound, eval.A(state.host, target, state.base));
-    }
+    // The base I^old_h(I(t)) is memoized, so later reads reuse it.
+    HDD_ASSIGN_OR_RETURN(const Timestamp base,
+                         state.links.OldestActiveAt(state.host, txn.init_ts));
+    HDD_ASSIGN_OR_RETURN(bound, state.links.A(state.host, target, base));
   }
-  return BoundedRead(txn, granule, bound, state);
+  return BoundedRead(txn, granule, bound);
 }
 
 Status DistSession::PrepareRemotes(const TxnDescriptor& txn,
@@ -264,7 +271,7 @@ DistTxnResult DistSession::Run(const DistProgram& program, int max_retries,
 
   for (int attempt = 0; attempt <= max_retries; ++attempt) {
     if (sim != nullptr) sim->OnTxnAttemptStart();
-    AttemptState state;
+    AttemptState state(DistLinkEvaluator(node_id_, map_, transport_, cc_));
     state.host = host;
     std::optional<Result<TxnDescriptor>> txn;
     try {

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
-#include "dist/activity_slice.h"
 #include "dist/shard_map.h"
 #include "dist/transport.h"
 #include "hdd/hdd_controller.h"
@@ -17,12 +17,53 @@ class SimScheduler;
 struct DistOptions {
   /// TEST-ONLY mutation switch, the canary of the distributed simulation
   /// harness: when set, cross-node reads are served at the reader's raw
-  /// initiation time instead of the slice-evaluated activity-link bound
-  /// A_i^j(I(t)) — the "unbounded snapshot" a broken implementation would
-  /// ship. An older remote transaction of the target class still active
-  /// at I(t) may commit a version below the served bound afterwards, so
-  /// the merged-history oracle must catch this with a replayable seed.
+  /// initiation time instead of the activity-link bound A_i^j(I(t)) — the
+  /// "unbounded snapshot" a broken implementation would ship. An older
+  /// remote transaction of the target class still active at I(t) may
+  /// commit a version below the served bound afterwards, so the
+  /// merged-history oracle must catch this with a replayable seed.
   bool mutation_stale_bound_snapshot = false;
+};
+
+/// Requester side of a cross-node Protocol A bound. A_i^j(m) is the
+/// paper's I^old composed along the critical path i -> c_1 -> ... -> j
+/// (§4.1):
+///
+///   A_i^j(m) = I^old_j( ... I^old_c2( I^old_c1(m) ) ... )
+///
+/// Each I^old_c is answered by c's home node: a class homed here by the
+/// local controller's live table, a run of consecutive path classes homed
+/// at one remote node by ONE kActivityReq carrying the stab time (the
+/// home applies the run and replies with one timestamp per class). Every
+/// answer is memoized per (class, stab time) for the evaluator's lifetime
+/// — one transaction attempt. That is exact, not a cache of something
+/// that may change: m <= I(t) is at or below the clock, where I^old is
+/// stable (hdd/link_functions.h). Nothing is copied and nothing is
+/// recorded at any node.
+class DistLinkEvaluator {
+ public:
+  DistLinkEvaluator(int node_id, const ShardMap* map, Transport* transport,
+                    HddController* cc);
+
+  /// A_i^j(m). InvalidArgument when no critical path i -> j exists.
+  Result<Timestamp> A(ClassId i, ClassId j, Timestamp m);
+
+  /// I^old_c(m), the base of a hosted read-only transaction (§5.0).
+  Result<Timestamp> OldestActiveAt(ClassId c, Timestamp m) {
+    return ComposeOldestActive({c}, m);
+  }
+
+ private:
+  /// I^old_{path.back()}( ... I^old_{path[0]}(m) ): the one walk behind A
+  /// and the hosted base.
+  Result<Timestamp> ComposeOldestActive(const std::vector<ClassId>& path,
+                                        Timestamp m);
+
+  int node_id_;
+  const ShardMap* map_;
+  Transport* transport_;
+  HddController* cc_;
+  std::map<std::pair<ClassId, Timestamp>, Timestamp> memo_;
 };
 
 /// One client-visible operation of a distributed transaction program.
@@ -56,16 +97,16 @@ struct DistTxnResult {
 ///    every writer of that segment runs here;
 ///  * a cross-segment Protocol A read is served locally when every class
 ///    on the critical path is homed here AND the segment is owned here;
-///    otherwise the session fetches the path classes' activity slices
-///    (once per transaction per remote home — classes are batched into
-///    one message per node), evaluates A_i^j(I(t)) LOCALLY against the
-///    shipped slices, and picks the read version out of the owner's
-///    shipped committed chain. No registration message exists: the owner
-///    never learns the read happened.
+///    otherwise the session evaluates A_i^j(I(t)) with a DistLinkEvaluator
+///    (one I^old request per run of remote classes, memoized for the
+///    attempt), then sends that finished bound to the segment's owner,
+///    which replies with the one committed version it selects. No
+///    registration message exists: the owner never learns the read
+///    happened (see DistNode::Handle for the soundness argument).
 ///  * a read-only transaction must declare a read_scope (time walls are
 ///    node-local and therefore unsound across shards); it is hosted below
 ///    the scope's lowest class per §5.0, with the base I^old_h(m) and all
-///    bounds evaluated from slices when any piece is remote;
+///    bounds evaluated the same way when any piece is remote;
 ///  * an update transaction whose own segment is owned by ANOTHER node
 ///    (ShardMap::SetSegmentOwner override) two-phases its commit: shipped
 ///    writes are prepared at the owner through the owner's WAL, the
@@ -87,10 +128,11 @@ class DistSession {
 
  private:
   struct AttemptState {
-    SliceSource slices;
-    bool base_ready = false;
-    ClassId host = kReadOnlyClass;  // hosted read-only txns (slice path)
-    Timestamp base = kTimestampMin;
+    explicit AttemptState(DistLinkEvaluator evaluator)
+        : links(std::move(evaluator)) {}
+
+    DistLinkEvaluator links;
+    ClassId host = kReadOnlyClass;  // hosted read-only txns (bounded path)
     /// Writes destined for remotely-owned segments, accumulated by the op
     /// loop and two-phased at commit.
     std::map<SegmentId, std::vector<std::pair<std::uint32_t, Value>>>
@@ -103,16 +145,10 @@ class DistSession {
   Result<Value> ReadOp(const TxnDescriptor& txn, GranuleRef granule,
                        bool local_plain, const std::vector<SegmentId>& scope,
                        AttemptState& state);
-  /// Slice-path read: evaluate `bound` locally, fetch the owner's
-  /// committed chain, serve the latest version below the bound.
+  /// Bounded-path read: `bound` is final; the segment's owner (local or
+  /// remote) serves the latest committed version below it.
   Result<Value> BoundedRead(const TxnDescriptor& txn, GranuleRef granule,
-                            Timestamp bound, AttemptState& state);
-  /// Fetches activity slices for every class in `classes` not yet cached
-  /// (local classes directly, remote ones batched into one message per
-  /// home node). Slices are always fetched BEFORE the chains they bound:
-  /// a slice can only be "stale" in the safe direction (lower bound).
-  Status EnsureSlices(AttemptState& state, const std::vector<ClassId>& classes,
-                      Timestamp frontier);
+                            Timestamp bound);
   Status PrepareRemotes(const TxnDescriptor& txn, AttemptState& state);
   void AbortRemotes(const TxnDescriptor& txn, AttemptState& state);
   void CommitRemotes(const TxnDescriptor& txn, AttemptState& state);

@@ -205,12 +205,12 @@ std::string DistWorld::CheckHistory() {
   for (int s = 0; s < options_.depth; ++s) {
     const int owner = map_.owner(static_cast<SegmentId>(s));
     for (std::uint32_t g = 0; g < options_.granules_per_segment; ++g) {
-      Result<std::vector<Version>> chain =
-          controllers_[owner]->ExportVersions(static_cast<SegmentId>(s), g);
-      if (!chain.ok()) return chain.status().ToString();
-      Status restored =
-          merged->granule(GranuleRef{static_cast<SegmentId>(s), g})
-              .RestoreVersions(std::move(*chain));
+      const GranuleRef ref{static_cast<SegmentId>(s), g};
+      std::vector<Version> chain;
+      for (const Version& v : dbs_[owner]->granule(ref).versions()) {
+        if (v.committed) chain.push_back(v);
+      }
+      Status restored = merged->granule(ref).RestoreVersions(std::move(chain));
       if (!restored.ok()) return restored.ToString();
     }
   }

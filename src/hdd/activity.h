@@ -56,10 +56,6 @@ class ClassActivityTable {
   std::size_t num_active() const { return active_.size(); }
   std::size_t history_size() const { return finished_by_init_.size(); }
 
-  /// Initiation times of currently-active transactions, for exporting an
-  /// activity slice to a remote node (src/dist/).
-  const std::set<Timestamp>& active() const { return active_; }
-
   /// Finished records (I -> end), for control-state checkpointing: the
   /// restarted controller replays them through OnBegin/OnFinish so
   /// post-recovery wall computations see the pre-crash history.

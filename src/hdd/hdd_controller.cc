@@ -1590,42 +1590,33 @@ void HddController::MaybeTrimHistory() {
 // ordering invariant lives in CommitDurablePhase/FinishDistributedCommit.
 // ---------------------------------------------------------------------------
 
-Result<ActivitySlice> HddController::ExportActivitySlice(ClassId c,
-                                                         Timestamp frontier) {
+Result<std::vector<Timestamp>> HddController::OldestActiveAlong(
+    const std::vector<ClassId>& run, Timestamp stab) const {
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
-  if (c < 0 || c >= num_classes_) {
-    return Status::InvalidArgument("no such class");
+  std::vector<Timestamp> values;
+  values.reserve(run.size());
+  Timestamp value = stab;
+  for (const ClassId c : run) {
+    if (c < 0 || c >= num_classes_) {
+      return Status::InvalidArgument("no such class");
+    }
+    value = shard_source_.OldestActiveAt(c, value);
+    values.push_back(value);
   }
-  ActivitySlice slice;
-  slice.class_id = c;
-  slice.frontier = frontier;
-  ClassShard* shard = shards_[c].get();
-  std::lock_guard<std::mutex> shard_lock(shard->mu);
-  // Only initiations below the frontier can affect I^old(v) for
-  // v <= frontier; transactions begun after the frontier tick are
-  // invisible to every evaluation the slice is valid for.
-  for (const Timestamp init : shard->table.active()) {
-    if (init < frontier) slice.active.push_back(init);
-  }
-  slice.finished.reserve(shard->table.finished().size());
-  for (const auto& [init, end] : shard->table.finished()) {
-    slice.finished.emplace_back(init, end);
-  }
-  return slice;
+  return values;
 }
 
-Result<std::vector<Version>> HddController::ExportVersions(
-    SegmentId segment, std::uint32_t granule) {
+Result<Version> HddController::CommittedVersionBelow(GranuleRef granule,
+                                                     Timestamp bound) {
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
-  const GranuleRef ref{segment, granule};
-  HDD_RETURN_IF_ERROR(db_->Validate(ref));
-  ClassShard* shard = shards_[class_of_segment_[segment]].get();
+  HDD_RETURN_IF_ERROR(db_->Validate(granule));
+  ClassShard* shard = shards_[class_of_segment_[granule.segment]].get();
   std::lock_guard<std::mutex> shard_lock(shard->mu);
-  std::vector<Version> committed;
-  for (const Version& v : db_->granule(ref).versions()) {
-    if (v.committed) committed.push_back(v);
+  const Version* version = db_->granule(granule).LatestCommittedBefore(bound);
+  if (version == nullptr) {
+    return Status::Internal("no committed version below bound");
   }
-  return committed;
+  return *version;
 }
 
 Status HddController::RecordExternalRead(const TxnDescriptor& txn,

@@ -67,23 +67,6 @@ struct HddControllerOptions {
   std::string name = "hdd";
 };
 
-/// A copy of one class's activity state, bounded by a frontier timestamp:
-/// everything needed to evaluate I^old (and C^late, when computable) at
-/// any time v <= frontier. Shipped between nodes by src/dist/ so a remote
-/// reader evaluates its activity-link bound locally — values at or below
-/// the frontier are stable because initiation timestamps are issued
-/// monotonically by the shared clock and registered under the owning
-/// shard's latch before the frontier timestamp could have been issued.
-struct ActivitySlice {
-  ClassId class_id = 0;
-  Timestamp frontier = kTimestampMin;
-  /// Initiation times of transactions still active when the slice was
-  /// taken (only those below the frontier matter to the evaluation).
-  std::vector<Timestamp> active;
-  /// Finished records, (initiation, end) pairs.
-  std::vector<std::pair<Timestamp, Timestamp>> finished;
-};
-
 /// The paper's contribution: concurrency control by Hierarchical Database
 /// Decomposition.
 ///
@@ -252,35 +235,41 @@ class HddController : public ConcurrencyController {
   // ---------------------------------------------------------------------
   // Distribution hooks (src/dist/). A sharded deployment runs one
   // controller per node over the full schema; segments a node does not
-  // own are stand-ins. These entry points let a remote peer read this
-  // node's activity tables and version chains, and let a coordinator
-  // two-phase a cross-node update commit through this node's WAL.
+  // own are stand-ins. These entry points answer a remote peer's Protocol
+  // A questions about this node's live state — I^old along a run of
+  // classes, and the one committed version a bound selects — without
+  // copying tables or chains and without recording anything, and let a
+  // coordinator two-phase a cross-node update commit through this node's
+  // WAL.
   // ---------------------------------------------------------------------
 
-  /// Copies class `c`'s activity table, stable for evaluations at any
-  /// v <= `frontier` (a clock reading the CALLER took before asking).
-  /// Taken under the class's shard latch; never blocks on transactions.
-  Result<ActivitySlice> ExportActivitySlice(ClassId c, Timestamp frontier);
+  /// Applies I^old along `run`, consecutive classes of a critical path:
+  /// out[0] = I^old_run[0](stab), out[k] = I^old_run[k](out[k-1]). Each
+  /// query takes one class's shard latch, as the evaluator does, and never
+  /// blocks on transactions. Exact for `stab` at or below the clock: I^old
+  /// is stable there (hdd/link_functions.h), so callers may memoize.
+  Result<std::vector<Timestamp>> OldestActiveAlong(
+      const std::vector<ClassId>& run, Timestamp stab) const;
 
-  /// Copies the COMMITTED versions of one granule, under the owning
-  /// class's shard latch. Uncommitted versions are withheld: a remote
-  /// reader's bound can only pass I(W) once W's versions here are marked
-  /// committed (the 2PC commit step runs before the home node's
-  /// OnFinish), so withholding them never starves a legal bounded read.
-  Result<std::vector<Version>> ExportVersions(SegmentId segment,
-                                              std::uint32_t granule);
+  /// The latest COMMITTED version of `granule` with timestamp below
+  /// `bound`, chosen under the owning class's shard latch. Uncommitted
+  /// versions are never chosen: a remote reader's bound can only pass I(W)
+  /// once W's versions here are marked committed (the 2PC commit step
+  /// runs before the home node's OnFinish), so skipping them never starves
+  /// a legal bounded read.
+  Result<Version> CommittedVersionBelow(GranuleRef granule, Timestamp bound);
 
   /// Blocks until every WAL record appended so far is durable — in
-  /// particular the commit records of every committed version a
-  /// concurrent ExportVersions returned. The snapshot handler runs this
+  /// particular the commit record of every version a concurrent
+  /// CommittedVersionBelow returned. The snapshot handler runs this
   /// before replying, extending the local acked-reads-are-durable ticket
   /// argument across nodes. No-op without a WAL.
   Status AwaitWalReadStable();
 
-  /// Books a Protocol A read this node's txn performed against a REMOTE
-  /// owner's shipped chain: bumps the unregistered-read metrics and
-  /// records the (bound, version) pair with the history recorder so the
-  /// merged-history oracle replays it.
+  /// Books a Protocol A read whose bound the dist session evaluated and
+  /// whose version the owner (this node or a remote one) selected: bumps
+  /// the unregistered-read metrics and records the (bound, version) pair
+  /// with the history recorder so the merged-history oracle replays it.
   Status RecordExternalRead(const TxnDescriptor& txn, GranuleRef granule,
                             Timestamp version_key, Timestamp bound);
 

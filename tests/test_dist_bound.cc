@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/rng.h"
-#include "dist/activity_slice.h"
 #include "dist/dist_message.h"
+#include "dist/dist_node.h"
+#include "dist/dist_session.h"
 #include "dist/shard_map.h"
+#include "dist/transport.h"
 #include "hdd/hdd_controller.h"
 #include "hdd/link_functions.h"
 #include "storage/database.h"
@@ -65,24 +68,28 @@ TEST(ShardMapTest, OwnerOverrideSeparatesHomeAndOwner) {
 
 TEST(DistCodecTest, ActivityReqRoundTrip) {
   ActivityReq req;
-  req.frontier = 4711;
-  req.classes = {0, 3, 5};
+  req.stab = 4711;
+  req.run = {0, 3, 5};
   const std::string wire = EncodeActivityReq(req);
   EXPECT_EQ(PeekDistMsgType(wire), DistMsgType::kActivityReq);
   auto got = DecodeActivityReq(wire);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->frontier, req.frontier);
-  EXPECT_EQ(got->classes, req.classes);
+  EXPECT_EQ(got->stab, req.stab);
+  EXPECT_EQ(got->run, req.run);
 }
 
 TEST(DistCodecTest, SnapshotReqRoundTrip) {
   SnapshotReq req;
   req.segment = 2;
   req.index = 9;
-  auto got = DecodeSnapshotReq(EncodeSnapshotReq(req));
-  ASSERT_TRUE(got.ok());
+  req.bound = (1ull << 40) + 3;
+  const std::string wire = EncodeSnapshotReq(req);
+  EXPECT_EQ(PeekDistMsgType(wire), DistMsgType::kSnapshotReq);
+  auto got = DecodeSnapshotReq(wire);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->segment, req.segment);
   EXPECT_EQ(got->index, req.index);
+  EXPECT_EQ(got->bound, req.bound);
 }
 
 TEST(DistCodecTest, PrepareReqRoundTrip) {
@@ -115,48 +122,22 @@ TEST(DistCodecTest, TxnSegmentReqRoundTripBothTypes) {
   }
 }
 
-TEST(DistCodecTest, SlicesRoundTrip) {
-  ActivitySlice a;
-  a.class_id = 1;
-  a.frontier = 500;
-  a.active = {100, 220};
-  a.finished = {{10, 50}, {60, 90}};
-  ActivitySlice b;
-  b.class_id = 4;
-  b.frontier = 500;
-  auto got = DecodeSlices(EncodeSlices({a, b}));
+TEST(DistCodecTest, OldestActiveReplyRoundTrip) {
+  const std::vector<Timestamp> values = {500, 220, 100, kTimestampMin};
+  auto got = DecodeOldestActiveReply(EncodeOldestActiveReply(values));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), 2u);
-  EXPECT_EQ((*got)[0].class_id, a.class_id);
-  EXPECT_EQ((*got)[0].frontier, a.frontier);
-  EXPECT_EQ((*got)[0].active, a.active);
-  EXPECT_EQ((*got)[0].finished, a.finished);
-  EXPECT_EQ((*got)[1].class_id, b.class_id);
-  EXPECT_TRUE((*got)[1].active.empty());
-  EXPECT_TRUE((*got)[1].finished.empty());
+  EXPECT_EQ(*got, values);
+  auto empty = DecodeOldestActiveReply(EncodeOldestActiveReply({}));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
 }
 
-TEST(DistCodecTest, VersionsRoundTripMarksCommitted) {
-  Version v1;
-  v1.order_key = 10;
-  v1.wts = 10;
-  v1.rts = 12;
-  v1.creator = 3;
-  v1.value = 77;
-  v1.committed = true;
-  Version v2 = v1;
-  v2.order_key = 20;
-  v2.wts = 20;
-  v2.value = -9;
-  auto got = DecodeVersions(EncodeVersions({v1, v2}));
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), 2u);
-  EXPECT_EQ((*got)[0].order_key, v1.order_key);
-  EXPECT_EQ((*got)[0].value, v1.value);
-  EXPECT_EQ((*got)[1].order_key, v2.order_key);
-  EXPECT_EQ((*got)[1].value, v2.value);
-  EXPECT_TRUE((*got)[0].committed);
-  EXPECT_TRUE((*got)[1].committed);
+TEST(DistCodecTest, SnapshotReplyRoundTrip) {
+  const SnapshotReply reply{(3ull << 33) + 20, -9};
+  auto got = DecodeSnapshotReply(EncodeSnapshotReply(reply));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->order_key, reply.order_key);
+  EXPECT_EQ(got->value, reply.value);
 }
 
 TEST(DistCodecTest, ResponseEnvelope) {
@@ -171,70 +152,82 @@ TEST(DistCodecTest, ResponseEnvelope) {
   EXPECT_EQ(err.status().message(), "remote: try later");
 }
 
+// Every proper prefix of every message is rejected, never half-decoded.
 TEST(DistCodecTest, TruncatedPayloadsAreRejected) {
-  const std::string wire = EncodePrepareReq(
+  const std::string prepare = EncodePrepareReq(
       PrepareReq{12, 34, 1, {{0, 1}, {1, 2}}});
-  for (std::size_t len = 0; len < wire.size(); ++len) {
-    EXPECT_FALSE(DecodePrepareReq(wire.substr(0, len)).ok()) << len;
+  for (std::size_t len = 0; len < prepare.size(); ++len) {
+    EXPECT_FALSE(DecodePrepareReq(prepare.substr(0, len)).ok()) << len;
   }
-  const std::string slices = EncodeSlices(
-      {ActivitySlice{0, 100, {50}, {{10, 20}}}});
-  for (std::size_t len = 0; len < slices.size(); ++len) {
-    EXPECT_FALSE(DecodeSlices(slices.substr(0, len)).ok()) << len;
+  const std::string activity = EncodeActivityReq(ActivityReq{77, {2, 1}});
+  for (std::size_t len = 0; len < activity.size(); ++len) {
+    EXPECT_FALSE(DecodeActivityReq(activity.substr(0, len)).ok()) << len;
+  }
+  const std::string snapshot = EncodeSnapshotReq(SnapshotReq{1, 5, 900});
+  for (std::size_t len = 0; len < snapshot.size(); ++len) {
+    EXPECT_FALSE(DecodeSnapshotReq(snapshot.substr(0, len)).ok()) << len;
+  }
+  const std::string oldest = EncodeOldestActiveReply({40, 30});
+  for (std::size_t len = 0; len < oldest.size(); ++len) {
+    EXPECT_FALSE(DecodeOldestActiveReply(oldest.substr(0, len)).ok()) << len;
+  }
+  const std::string version = EncodeSnapshotReply(SnapshotReply{30, 7});
+  for (std::size_t len = 0; len < version.size(); ++len) {
+    EXPECT_FALSE(DecodeSnapshotReply(version.substr(0, len)).ok()) << len;
   }
   EXPECT_FALSE(DecodeDistResponse(std::string_view()).ok());
 }
 
-// A slice rebuilt through the wire codec must answer I^old / C^late at
-// every time at or below its frontier exactly like the live table.
-TEST(SliceSourceTest, RebuiltTableMatchesDirectTable) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    Rng rng(seed);
-    ClassActivityTable direct;
-    std::vector<Timestamp> active;
-    Timestamp now = 0;
-    for (int event = 0; event < 60; ++event) {
-      if (!active.empty() && rng.NextBool(0.45)) {
-        const std::size_t pick = static_cast<std::size_t>(
-            rng.NextBounded(active.size()));
-        direct.OnFinish(active[pick], ++now);
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
-      } else {
-        direct.OnBegin(++now);
-        active.push_back(now);
-      }
-    }
-    const Timestamp frontier = now + 1;
-    ActivitySlice slice;
-    slice.class_id = 0;
-    slice.frontier = frontier;
-    slice.active.assign(direct.active().begin(), direct.active().end());
-    slice.finished.assign(direct.finished().begin(),
-                          direct.finished().end());
-    auto decoded = DecodeSlices(EncodeSlices({slice}));
-    ASSERT_TRUE(decoded.ok());
-    SliceSource source;
-    source.Install((*decoded)[0]);
-    ASSERT_TRUE(source.Has(0));
-    for (Timestamp m = 0; m <= frontier; ++m) {
-      EXPECT_EQ(source.OldestActiveAt(0, m), direct.OldestActiveAt(m))
-          << "seed " << seed << " m " << m;
-      auto from_slice = source.LatestEndAt(0, m);
-      auto from_direct = direct.LatestEndAt(m);
-      EXPECT_EQ(from_slice.ok(), from_direct.ok());
-      if (from_slice.ok() && from_direct.ok()) {
-        EXPECT_EQ(*from_slice, *from_direct) << "seed " << seed << " m " << m;
-      }
-    }
-  }
+// A count of 0xFFFFFFFF with a few bytes behind it must come back as
+// kCorruption: reserving for it would throw std::bad_alloc, which escapes
+// the socket transport's serving thread and terminates the shard.
+TEST(DistCodecTest, HostileCountsAreCorruption) {
+  auto hostile = [](std::string wire, std::size_t count_at) {
+    for (int i = 0; i < 4; ++i) wire[count_at + i] = '\xff';
+    return wire + std::string(12, '\0');
+  };
+  // [type][stab u64][count u32]...
+  const auto activity = DecodeActivityReq(
+      hostile(EncodeActivityReq(ActivityReq{5, {}}), 1 + 8));
+  ASSERT_FALSE(activity.ok());
+  EXPECT_EQ(activity.status().code(), StatusCode::kCorruption);
+  // [type][txn u64][init u64][segment u32][count u32]...
+  const auto prepare = DecodePrepareReq(
+      hostile(EncodePrepareReq(PrepareReq{1, 2, 0, {}}), 1 + 8 + 8 + 4));
+  ASSERT_FALSE(prepare.ok());
+  EXPECT_EQ(prepare.status().code(), StatusCode::kCorruption);
+  // [count u32]...
+  const auto oldest =
+      DecodeOldestActiveReply(hostile(EncodeOldestActiveReply({}), 0));
+  ASSERT_FALSE(oldest.ok());
+  EXPECT_EQ(oldest.status().code(), StatusCode::kCorruption);
 }
 
 // ------------------------------------------------------------------------
 // The distributed-soundness property (satellite of the sharded subsystem):
-// evaluating A_i^j(m) LOCALLY against shipped activity slices equals the
-// single-process bound on the same history — the whole basis of the
-// zero-registration cross-node Protocol A read.
+// the requester's A_i^j(m) — I^old composed along the critical path, local
+// classes answered by the local controller, remote runs by DistNode
+// replies, every answer memoized — equals the single-process bound on the
+// same history. This is the whole basis of the zero-registration
+// cross-node Protocol A read.
 // ------------------------------------------------------------------------
+
+// Hands each request straight to the receiving node's handler, through
+// the response envelope a real transport wraps it in.
+class DirectTransport : public Transport {
+ public:
+  void Attach(int node, DistNode* handler) { nodes_[node] = handler; }
+
+  Result<std::string> Call(int from, int to, const std::string& request,
+                           bool /*interruptible*/) override {
+    counters_.Bump(PeekDistMsgType(request));
+    return DecodeDistResponse(
+        EncodeDistResponse(nodes_.at(to)->Handle(from, request)));
+  }
+
+ private:
+  std::map<int, DistNode*> nodes_;
+};
 
 struct RandomHierarchy {
   PartitionSpec spec;
@@ -265,7 +258,7 @@ RandomHierarchy MakeRandomHierarchy(Rng& rng) {
   return h;
 }
 
-TEST(DistBoundTest, SliceEvaluatedBoundEqualsSingleProcessBound) {
+TEST(DistBoundTest, RequesterBoundEqualsSingleProcessBound) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
     RandomHierarchy h = MakeRandomHierarchy(rng);
@@ -295,40 +288,45 @@ TEST(DistBoundTest, SliceEvaluatedBoundEqualsSingleProcessBound) {
         open.push_back(*txn);
       }
     }
-
-    // Ship every class's slice through the wire codec — exactly what a
-    // remote requester receives — and evaluate against the copies.
     const Timestamp frontier = clock.Now() + 1;
-    std::vector<ActivitySlice> slices;
-    for (ClassId c = 0; c < n; ++c) {
-      auto slice = cc.ExportActivitySlice(c, frontier);
-      ASSERT_TRUE(slice.ok()) << slice.status().ToString();
-      EXPECT_EQ(slice->class_id, c);
-      EXPECT_EQ(slice->frontier, frontier);
-      slices.push_back(*slice);
-    }
-    auto shipped = DecodeSlices(EncodeSlices(slices));
-    ASSERT_TRUE(shipped.ok());
-    SliceSource source;
-    for (const ActivitySlice& s : *shipped) source.Install(s);
 
-    ActivityLinkEvaluator remote_eval(&cc.class_tst(), &source);
+    // Two splits: contiguous halves, and one class per node (every class
+    // on a path is then its own run). Every node takes a turn as the
+    // requester; the others answer through DistNode over the same
+    // controller, so local answers and remote replies mix on one path.
     const ActivityLinkEvaluator& local_eval = cc.evaluator();
-    for (ClassId i = 0; i < n; ++i) {
-      std::vector<ClassId> targets = h.ancestors[static_cast<std::size_t>(i)];
-      targets.push_back(i);  // A_i^i(m) = m on both sides
-      for (ClassId j : targets) {
-        for (Timestamp m = 1; m <= frontier; m += 1 + m / 7) {
-          auto remote = remote_eval.A(i, j, m);
-          auto local = local_eval.A(i, j, m);
-          ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-          ASSERT_TRUE(local.ok()) << local.status().ToString();
-          EXPECT_EQ(*remote, *local)
-              << "seed " << seed << " A_" << i << "^" << j << "(" << m << ")";
-          EXPECT_LE(*remote, m);  // A never exceeds its argument
+    std::uint64_t remote_runs = 0;
+    for (const int nodes : {2, n}) {
+      const ShardMap map = ShardMap::Contiguous(n, nodes);
+      for (int requester = 0; requester < nodes; ++requester) {
+        std::vector<std::unique_ptr<DistNode>> handlers;
+        DirectTransport transport;
+        for (int node = 0; node < nodes; ++node) {
+          handlers.push_back(std::make_unique<DistNode>(node, &cc, &clock));
+          transport.Attach(node, handlers.back().get());
         }
+        DistLinkEvaluator remote_eval(requester, &map, &transport, &cc);
+        for (ClassId i = 0; i < n; ++i) {
+          std::vector<ClassId> targets =
+              h.ancestors[static_cast<std::size_t>(i)];
+          targets.push_back(i);  // A_i^i(m) = m on both sides
+          for (ClassId j : targets) {
+            for (Timestamp m = 0; m <= frontier; ++m) {
+              auto remote = remote_eval.A(i, j, m);
+              auto local = local_eval.A(i, j, m);
+              ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+              ASSERT_TRUE(local.ok()) << local.status().ToString();
+              ASSERT_EQ(*remote, *local)
+                  << "seed " << seed << " nodes " << nodes << " requester "
+                  << requester << " A_" << i << "^" << j << "(" << m << ")";
+              EXPECT_LE(*remote, m);  // A never exceeds its argument
+            }
+          }
+        }
+        remote_runs += transport.counters().Get(DistMsgType::kActivityReq);
       }
     }
+    EXPECT_GT(remote_runs, 0u) << "seed " << seed;
     for (auto& txn : open) ASSERT_TRUE(cc.Commit(txn).ok());
   }
 }

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -16,9 +17,9 @@ namespace hdd {
 namespace {
 
 // Two logical shard nodes in one process on plain threads (no sim
-// scheduler): the full distributed path — slice-shipped Protocol A
-// bounds, hosted read-only scopes, owner chains — with the merged
-// multi-node history run through the 1SR + bound-replay oracle.
+// scheduler): the full distributed path — requester-evaluated Protocol A
+// bounds, hosted read-only scopes, owner-selected versions — with the
+// merged multi-node history run through the 1SR + bound-replay oracle.
 TEST(DistWorldTest, TwoNodeWorkloadPassesMergedOracle) {
   DistWorldOptions options;
   options.num_nodes = 2;
@@ -34,7 +35,7 @@ TEST(DistWorldTest, TwoNodeWorkloadPassesMergedOracle) {
   EXPECT_EQ(world.CheckHistory(), "");
 
   // Node 1 homes classes {2,3}; their upper reads reach segments owned by
-  // node 0, so the slice + snapshot path must have been exercised...
+  // node 0, so the I^old + snapshot path must have been exercised...
   const MessageCounters& counters = world.transport().counters();
   EXPECT_GT(counters.Get(DistMsgType::kActivityReq), 0u);
   EXPECT_GT(counters.Get(DistMsgType::kSnapshotReq), 0u);
@@ -70,15 +71,16 @@ TEST(DistWorldTest, OwnerOverrideTwoPhasesCommits) {
   // node 0's segment-3 granules grew beyond the initial version.
   std::size_t versions = 0;
   for (std::uint32_t g = 0; g < options.granules_per_segment; ++g) {
-    auto chain = world.controller(0).ExportVersions(3, g);
-    ASSERT_TRUE(chain.ok());
-    versions += chain->size();
+    for (const Version& v : world.database(0).granule({3, g}).versions()) {
+      if (v.committed) ++versions;
+    }
   }
   EXPECT_GT(versions, options.granules_per_segment);
 }
 
 // All-read-only mix: every transaction is hosted below its scope's lowest
-// class; cross-node scopes evaluate base and bounds from shipped slices.
+// class; cross-node scopes evaluate base and bounds through remote I^old
+// replies.
 TEST(DistWorldTest, HostedReadOnlyScopesAcrossNodes) {
   DistWorldOptions options;
   options.num_nodes = 2;
@@ -141,29 +143,80 @@ TEST(DistNodeTest, HandleDispatchesAndRejectsGarbage) {
   ASSERT_TRUE(ts2.ok());
   EXPECT_GE(*ts2, *ts);
 
-  // Activity request for both classes comes back decodable.
-  ActivityReq areq;
-  areq.frontier = clock.Now() + 1;
-  areq.classes = {0, 1};
-  auto slices_raw = node.Handle(1, EncodeActivityReq(areq));
-  ASSERT_TRUE(slices_raw.ok());
-  auto slices = DecodeSlices(*slices_raw);
-  ASSERT_TRUE(slices.ok());
-  ASSERT_EQ(slices->size(), 2u);
-  EXPECT_EQ((*slices)[0].class_id, 0);
-  EXPECT_EQ((*slices)[1].class_id, 1);
+  // I^old along the run {1, 0}: both classes are idle, so every answer
+  // is its argument, one timestamp per class.
+  const Timestamp stab = clock.Now();
+  auto oldest_raw =
+      node.Handle(1, EncodeActivityReq(ActivityReq{stab, {1, 0}}));
+  ASSERT_TRUE(oldest_raw.ok()) << oldest_raw.status().ToString();
+  auto oldest = DecodeOldestActiveReply(*oldest_raw);
+  ASSERT_TRUE(oldest.ok());
+  EXPECT_EQ(*oldest, (std::vector<Timestamp>{stab, stab}));
+  EXPECT_FALSE(
+      node.Handle(1, EncodeActivityReq(ActivityReq{stab, {0, 9}})).ok());
 
-  // Snapshot of a fresh granule: exactly the initial committed version.
-  auto chain_raw =
-      node.Handle(1, EncodeSnapshotReq(SnapshotReq{0, 0}));
-  ASSERT_TRUE(chain_raw.ok());
-  auto chain = DecodeVersions(*chain_raw);
-  ASSERT_TRUE(chain.ok());
-  ASSERT_EQ(chain->size(), 1u);
-  EXPECT_TRUE((*chain)[0].committed);
+  // Snapshot of a fresh granule: the initial version is the one below any
+  // bound.
+  auto served_raw =
+      node.Handle(1, EncodeSnapshotReq(SnapshotReq{0, 0, stab}));
+  ASSERT_TRUE(served_raw.ok()) << served_raw.status().ToString();
+  auto served = DecodeSnapshotReply(*served_raw);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->order_key, 0u);
+  EXPECT_EQ(served->value, db->granule({0, 0}).versions()[0].value);
 
   // Out-of-range snapshot fails cleanly.
-  EXPECT_FALSE(node.Handle(1, EncodeSnapshotReq(SnapshotReq{9, 0})).ok());
+  EXPECT_FALSE(node.Handle(1, EncodeSnapshotReq(SnapshotReq{9, 0, stab})).ok());
+}
+
+// Replies carry the answer, not the state it is computed from: their size
+// depends on the request's shape only, however much history and however
+// long a chain the node has built up (dist mode never trims either).
+TEST(DistNodeTest, ReplySizesDoNotGrowWithHistory) {
+  SyntheticWorkloadParams params;
+  params.depth = 2;
+  SyntheticWorkload workload(params);
+  auto schema = HierarchySchema::Create(workload.Spec());
+  ASSERT_TRUE(schema.ok());
+  std::unique_ptr<Database> db = workload.MakeDatabase();
+  LogicalClock clock;
+  HddController cc(db.get(), &clock, &*schema,
+                   HddControllerOptions{.auto_trim_history = false});
+  DistNode node(0, &cc, &clock);
+
+  int next = 0;
+  auto commit = [&](int count) {
+    for (int k = 0; k < count; ++k, ++next) {
+      const ClassId c = next % 2;
+      auto txn = cc.Begin(TxnOptions{.txn_class = c});
+      ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+      ASSERT_TRUE(cc.Write(*txn, GranuleRef{c, 0}, next).ok());
+      ASSERT_TRUE(cc.Commit(*txn).ok());
+    }
+  };
+  // One kActivityReq over the whole path and one kSnapshotReq of a granule
+  // every class-0 commit writes: the same shape at both points.
+  auto reply_sizes = [&]() -> std::pair<std::size_t, std::size_t> {
+    const Timestamp stab = clock.Now();
+    auto oldest =
+        node.Handle(1, EncodeActivityReq(ActivityReq{stab, {1, 0}}));
+    auto served = node.Handle(1, EncodeSnapshotReq(SnapshotReq{0, 0, stab}));
+    EXPECT_TRUE(oldest.ok() && served.ok());
+    return {oldest.ok() ? oldest->size() : 0, served.ok() ? served->size() : 0};
+  };
+
+  commit(10);
+  const auto early = reply_sizes();
+  const std::size_t early_history = cc.ActivityHistorySize();
+  const std::size_t early_chain = db->granule({0, 0}).num_versions();
+  commit(2000);
+  const auto late = reply_sizes();
+  // The state behind the replies did grow...
+  EXPECT_GE(cc.ActivityHistorySize(), early_history + 2000);
+  EXPECT_GE(db->granule({0, 0}).num_versions(), early_chain + 1000);
+  // ...the replies did not.
+  EXPECT_EQ(late.first, early.first);
+  EXPECT_EQ(late.second, early.second);
 }
 
 TEST(DistNodeTest, ClockServiceUnavailableWithoutClock) {

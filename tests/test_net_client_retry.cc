@@ -4,8 +4,11 @@
 // transparently reconnect and resend when the peer drops the connection.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,6 +20,15 @@
 
 namespace hdd {
 namespace {
+
+// Bounds every blocking read a test client makes, so a response that never
+// comes fails the test in seconds instead of hanging until ctest's timeout.
+bool SetRecvTimeout(int fd) {
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  return setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                    sizeof(timeout)) == 0;
+}
 
 class ClientRetryTest : public ::testing::Test {
  protected:
@@ -33,6 +45,20 @@ class ClientRetryTest : public ::testing::Test {
 
   void TearDown() override {
     if (server_ != nullptr) server_->Stop();
+  }
+
+  // Forced-shed set-up: the filler's request must hold the single
+  // admission slot before the probe sends. With two IO threads the
+  // probe's first request could otherwise win the slot and block forever
+  // on the paused worker.
+  bool WaitForFillerAdmitted() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (metrics_.GetCounter("net_admitted").Value() < 1) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
   }
 
   static RequestMsg Submit(std::uint64_t id, ClassId cls,
@@ -63,13 +89,16 @@ TEST_F(ClientRetryTest, RetriesThroughForcedShedUntilAdmitted) {
 
   SyncClient filler;
   ASSERT_TRUE(filler.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(SetRecvTimeout(filler.fd()));
   ASSERT_TRUE(
       filler.Send(Submit(1, 0, {{WireOp::Kind::kWrite, {0, 0}, 7}})).ok());
   // The filler is admitted (never answered while paused); everything else
   // bounces with kOverload. Poll with a plain client until the admission
   // decision is visible, then aim the retrying client at the wall.
+  ASSERT_TRUE(WaitForFillerAdmitted());
   SyncClient probe;
   ASSERT_TRUE(probe.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(SetRecvTimeout(probe.fd()));
   for (int i = 0; i < 200; ++i) {
     const Result<ResponseMsg> r = probe.Call(
         Submit(100 + static_cast<std::uint64_t>(i), 0,
@@ -86,6 +115,7 @@ TEST_F(ClientRetryTest, RetriesThroughForcedShedUntilAdmitted) {
   policy.max_backoff_ms = 20;
   RetryingClient client(policy);
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(SetRecvTimeout(client.sync().fd()));
 
   // Unpause shortly after the retry loop has eaten a few overloads; the
   // filler then drains, the cap frees, and a retry lands.
@@ -117,10 +147,13 @@ TEST_F(ClientRetryTest, BudgetExhaustedReturnsLastOverload) {
 
   SyncClient filler;
   ASSERT_TRUE(filler.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(SetRecvTimeout(filler.fd()));
   ASSERT_TRUE(
       filler.Send(Submit(1, 0, {{WireOp::Kind::kWrite, {0, 0}, 7}})).ok());
+  ASSERT_TRUE(WaitForFillerAdmitted());
   SyncClient probe;
   ASSERT_TRUE(probe.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(SetRecvTimeout(probe.fd()));
   for (int i = 0; i < 200; ++i) {
     const Result<ResponseMsg> r = probe.Call(
         Submit(100 + static_cast<std::uint64_t>(i), 0,
@@ -136,6 +169,7 @@ TEST_F(ClientRetryTest, BudgetExhaustedReturnsLastOverload) {
   policy.max_backoff_ms = 2;
   RetryingClient client(policy);
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(SetRecvTimeout(client.sync().fd()));
   const Result<ResponseMsg> result =
       client.Call(Submit(2, 0, {{WireOp::Kind::kWrite, {0, 1}, 9}}));
   // The wall never moves: the budget ends ON an overload, which is
@@ -156,6 +190,7 @@ TEST_F(ClientRetryTest, ReconnectsAfterPeerCloseAndResends) {
 
   RetryingClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(SetRecvTimeout(client.sync().fd()));
   const Result<ResponseMsg> first =
       client.Call(Submit(1, 0, {{WireOp::Kind::kWrite, {0, 0}, 11}}));
   ASSERT_TRUE(first.ok()) << first.status();
@@ -186,6 +221,7 @@ TEST_F(ClientRetryTest, NoReconnectPolicySurfacesTransportError) {
   policy.reconnect = false;
   RetryingClient client(policy);
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(SetRecvTimeout(client.sync().fd()));
   const std::string garbage(64, '\xff');
   ASSERT_GT(write(client.sync().fd(), garbage.data(), garbage.size()), 0);
   const Result<ResponseMsg> result =
