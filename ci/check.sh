@@ -19,13 +19,18 @@
 #      stale-bound canary (HDD_SIM_DIST_* knobs), plus the socket smoke
 #      test that execs two real `hdd_server --shard` processes over TCP.
 #      bench_dist rides in the bench stage, gated against BENCH_8.json.
+#   3c. Perfbench stage: builds the served benchmark (perfbench/ is its
+#      own CMake package over src/, so no other stage compiles it) and
+#      smoke-runs each of its three workloads for 2 s; served_bench exits
+#      non-zero on a build failure or a failed correctness check.
 #   4. AddressSanitizer+UBSan build + tests, with a reduced sim corpus.
 #   5. ThreadSanitizer build + tests. The concurrency suite (stress, fuzz,
 #      concurrent oracle, sim) must be race-free; the sim sweep runs with
 #      a reduced seed corpus since TSan is ~10x slower.
 #
 # Usage: ci/check.sh [jobs]
-# Knobs: HDD_CHECK_STAGES=release,bench,sim,crash,dist,asan,tsan  subset
+# Knobs: HDD_CHECK_STAGES=release,bench,server,sim,crash,dist,perfbench,asan,tsan
+#          subset of stages to run
 #        HDD_SKIP_TSAN=1   skip the TSan stage (slow / unsupported hosts)
 #        HDD_SKIP_ASAN=1   skip the ASan+UBSan stage
 set -euo pipefail
@@ -47,7 +52,7 @@ REDECOMP_SEEDS="${HDD_SIM_REDECOMP_SEEDS:-500}"
 DIST_SEEDS="${HDD_SIM_DIST_SEEDS:-500}"
 DIST_CRASH_SEEDS="${HDD_SIM_DIST_CRASH_SEEDS:-200}"
 DIST_CANARY_SEEDS="${HDD_SIM_DIST_CANARY_SEEDS:-150}"
-STAGES="${HDD_CHECK_STAGES:-release,bench,server,sim,crash,dist,asan,tsan}"
+STAGES="${HDD_CHECK_STAGES:-release,bench,server,sim,crash,dist,perfbench,asan,tsan}"
 
 want() { [[ ",$STAGES," == *",$1,"* ]]; }
 
@@ -155,6 +160,17 @@ if want crash; then
   # replayable seed. Knob: HDD_SIM_CRASH_SEEDS.
   (cd build && HDD_SIM_CRASH_SEEDS="$CRASH_SEEDS" \
     ./tests/test_sim_explore --gtest_filter='SimExplore.Wal*')
+fi
+
+if want perfbench; then
+  echo "=== Perfbench stage: served benchmark build + smoke ==="
+  # A src/ API change that breaks perfbench/ (ServerOptions::backend,
+  # ShardServer::transport().counters(), ...) fails here, not only in the
+  # benchmark pipeline. Each run prints its JSON result line.
+  for workload in served_chain8_reads served_durable_hot sharded_2node; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+      --trace 0
+  done
 fi
 
 if want asan && [[ "${HDD_SKIP_ASAN:-0}" != 1 ]]; then

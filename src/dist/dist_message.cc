@@ -1,15 +1,8 @@
 #include "dist/dist_message.h"
 
-#include "dist/codec.h"
+#include "common/codec.h"
 
 namespace hdd {
-
-using distcodec::GetU32;
-using distcodec::GetU64;
-using distcodec::GetU8;
-using distcodec::PutU32;
-using distcodec::PutU64;
-using distcodec::PutU8;
 
 DistMsgType PeekDistMsgType(std::string_view payload) {
   if (payload.empty()) return static_cast<DistMsgType>(0);

@@ -7,7 +7,6 @@
 
 #include "common/sim_hook.h"
 #include "dist/dist_message.h"
-#include "sim/sim_scheduler.h"
 
 namespace hdd {
 
@@ -269,110 +268,84 @@ DistTxnResult DistSession::Run(const DistProgram& program, int max_retries,
     }
   }
 
-  for (int attempt = 0; attempt <= max_retries; ++attempt) {
-    if (sim != nullptr) sim->OnTxnAttemptStart();
-    AttemptState state(DistLinkEvaluator(node_id_, map_, transport_, cc_));
-    state.host = host;
-    std::optional<Result<TxnDescriptor>> txn;
-    try {
-      txn.emplace(cc_->Begin(begin_options));
-    } catch (const SimFault& fault) {
-      if (fault.kind == SimFaultKind::kCrash) {
-        result.crashed = true;
-        return result;
-      }
-      ++result.aborted_attempts;
-      continue;
-    }
-    if (!txn->ok()) {
-      result.failed = true;
-      return result;
-    }
-    Status status;
-    bool faulted = false;
-    bool fault_crash = false;
-    bool committed = false;
-    try {
-      for (const DistOp& op : program.ops) {
-        if (op.is_write) {
-          status = cc_->Write(**txn, op.granule, op.value);
-          if (status.ok() &&
-              map_->owner(op.granule.segment) != node_id_) {
-            state.remote_writes[op.granule.segment].emplace_back(
-                op.granule.index, op.value);
-          }
-        } else {
-          Result<Value> value = ReadOp(**txn, op.granule, local_plain,
-                                       program.options.read_scope, state);
-          status = value.status();
-          if (value.ok()) state.values.push_back(*value);
-        }
-        if (!status.ok()) break;
-      }
-      if (status.ok()) {
-        if (state.remote_writes.empty()) {
-          status = cc_->Commit(**txn);
-          committed = status.ok();
-        } else {
-          status = PrepareRemotes(**txn, state);
-          if (status.ok()) {
-            // The local durable commit record IS the decision: before it
-            // an abort is still possible, after it only roll-forward.
-            status = cc_->CommitDurablePhase(**txn);
-          }
-          if (status.ok()) {
-            CommitRemotes(**txn, state);
-            (void)cc_->FinishDistributedCommit(**txn);
-            committed = true;
-          }
-        }
-        if (committed) {
-          result.committed = true;
+  static_cast<ProgramResult&>(result) = RunWithRetries(
+      *cc_, begin_options, max_retries, sim, [&](const TxnDescriptor& txn) {
+        AttemptState state(DistLinkEvaluator(node_id_, map_, transport_, cc_));
+        state.host = host;
+        const AttemptOutcome outcome =
+            RunAttempt(program, txn, local_plain, state);
+        if (outcome == AttemptOutcome::kCommitted) {
           result.values = std::move(state.values);
-          return result;
         }
-        if (status.IsRetryable()) {
-          AbortRemotes(**txn, state);
-          (void)cc_->Abort(**txn);
-          ++result.aborted_attempts;
-          continue;
-        }
-        AbortRemotes(**txn, state);
-        (void)cc_->Abort(**txn);
-        result.failed = true;
-        return result;
-      }
-    } catch (const SimFault& fault) {
-      faulted = true;
-      fault_crash = fault.kind == SimFaultKind::kCrash;
-    }
-    if (faulted && fault_crash) {
-      // Coordinator "crash": the driver vanishes without aborting its
-      // prepared participants. Their versions stay uncommitted — invisible
-      // to every bounded read — which is exactly the classic blocked-2PC
-      // residue the sweep is meant to exercise.
-      result.crashed = true;
-      return result;
-    }
-    AbortRemotes(**txn, state);
-    (void)cc_->Abort(**txn);  // best effort; the txn may already be gone
-    if (faulted) {
-      ++result.aborted_attempts;
-      continue;
-    }
-    if (status.IsRetryable() || status.code() == StatusCode::kBusy) {
-      ++result.aborted_attempts;
-      if (attempt > 2) {
-        SimSleep(std::chrono::microseconds(
-            std::min(1 << std::min(attempt, 12), 2000)));
-      }
-      continue;
-    }
-    result.failed = true;
-    return result;
-  }
-  result.failed = true;
+        return outcome;
+      });
   return result;
+}
+
+AttemptOutcome DistSession::RunAttempt(const DistProgram& program,
+                                       const TxnDescriptor& txn,
+                                       bool local_plain, AttemptState& state) {
+  Status status;
+  bool faulted = false;
+  bool fault_crash = false;
+  try {
+    for (const DistOp& op : program.ops) {
+      if (op.is_write) {
+        status = cc_->Write(txn, op.granule, op.value);
+        if (status.ok() && map_->owner(op.granule.segment) != node_id_) {
+          state.remote_writes[op.granule.segment].emplace_back(
+              op.granule.index, op.value);
+        }
+      } else {
+        Result<Value> value = ReadOp(txn, op.granule, local_plain,
+                                     program.options.read_scope, state);
+        status = value.status();
+        if (value.ok()) state.values.push_back(*value);
+      }
+      if (!status.ok()) break;
+    }
+    if (status.ok()) {
+      bool committed = false;
+      if (state.remote_writes.empty()) {
+        status = cc_->Commit(txn);
+        committed = status.ok();
+      } else {
+        status = PrepareRemotes(txn, state);
+        if (status.ok()) {
+          // The local durable commit record IS the decision: before it
+          // an abort is still possible, after it only roll-forward.
+          status = cc_->CommitDurablePhase(txn);
+        }
+        if (status.ok()) {
+          CommitRemotes(txn, state);
+          (void)cc_->FinishDistributedCommit(txn);
+          committed = true;
+        }
+      }
+      if (committed) return AttemptOutcome::kCommitted;
+      AbortRemotes(txn, state);
+      (void)cc_->Abort(txn);
+      return status.IsRetryable() ? AttemptOutcome::kRetry
+                                  : AttemptOutcome::kFailed;
+    }
+  } catch (const SimFault& fault) {
+    faulted = true;
+    fault_crash = fault.kind == SimFaultKind::kCrash;
+  }
+  if (fault_crash) {
+    // Coordinator "crash": the driver vanishes without aborting its
+    // prepared participants. Their versions stay uncommitted — invisible
+    // to every bounded read — which is exactly the classic blocked-2PC
+    // residue the sweep is meant to exercise.
+    return AttemptOutcome::kCrashed;
+  }
+  AbortRemotes(txn, state);
+  (void)cc_->Abort(txn);  // best effort; the txn may already be gone
+  if (faulted) return AttemptOutcome::kRetry;
+  if (status.IsRetryable() || status.code() == StatusCode::kBusy) {
+    return AttemptOutcome::kBackoff;
+  }
+  return AttemptOutcome::kFailed;
 }
 
 }  // namespace hdd

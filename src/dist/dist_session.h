@@ -8,11 +8,10 @@
 
 #include "dist/shard_map.h"
 #include "dist/transport.h"
+#include "engine/driver.h"
 #include "hdd/hdd_controller.h"
 
 namespace hdd {
-
-class SimScheduler;
 
 struct DistOptions {
   /// TEST-ONLY mutation switch, the canary of the distributed simulation
@@ -78,11 +77,7 @@ struct DistProgram {
   std::vector<DistOp> ops;
 };
 
-struct DistTxnResult {
-  bool committed = false;
-  bool failed = false;
-  bool crashed = false;
-  std::uint64_t aborted_attempts = 0;
+struct DistTxnResult : ProgramResult {
   /// Values read by the committed attempt, in op order (reads only).
   std::vector<Value> values;
 };
@@ -118,8 +113,9 @@ class DistSession {
   DistSession(int node_id, const ShardMap* map, Transport* transport,
               HddController* cc, DistOptions options = {});
 
-  /// Runs one program to completion with the executor's attempt loop
-  /// (fault boundary under simulation; `sim` may be null).
+  /// Runs one program to completion with the executors' retry loop
+  /// (engine/driver.h's RunWithRetries: budget, SimFault at Begin,
+  /// backoff; `sim` may be null) around this session's own attempt body.
   DistTxnResult Run(const DistProgram& program, int max_retries,
                     SimScheduler* sim);
 
@@ -142,6 +138,13 @@ class DistSession {
     std::vector<Value> values;
   };
 
+  /// One attempt on the begun `txn`: the ops (remote writes buffered for
+  /// 2PC), then Commit or the two-phase commit, Abort plus participant
+  /// aborts on failure. An injected crash skips every abort: the
+  /// coordinator vanishes and its prepared participants stay in doubt.
+  AttemptOutcome RunAttempt(const DistProgram& program,
+                            const TxnDescriptor& txn, bool local_plain,
+                            AttemptState& state);
   Result<Value> ReadOp(const TxnDescriptor& txn, GranuleRef granule,
                        bool local_plain, const std::vector<SegmentId>& scope,
                        AttemptState& state);

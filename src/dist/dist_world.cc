@@ -1,8 +1,9 @@
 #include "dist/dist_world.h"
 
-#include <thread>
+#include <functional>
 #include <utility>
 
+#include "engine/driver.h"
 #include "sim/explorer.h"
 #include "sim/sim_scheduler.h"
 
@@ -135,10 +136,6 @@ void DistWorld::WorkerBody(int node) {
     if (r.crashed) crashed_.fetch_add(1);
     aborted_attempts_.fetch_add(r.aborted_attempts);
   }
-  // The LAST worker stops the pumps — from a registered sim task, so the
-  // scheduler delivers the wakeups (a notify from a non-sim thread is
-  // invisible to parked sim tasks).
-  if (workers_left_.fetch_sub(1) == 1) transport_->Stop();
 }
 
 int DistWorld::TotalTasks() const {
@@ -148,39 +145,20 @@ int DistWorld::TotalTasks() const {
 
 std::string DistWorld::RunWorkload() {
   if (!init_error_.empty()) return init_error_;
-  const int num_workers = options_.num_nodes * options_.workers_per_node;
-  const int num_pumps = options_.num_nodes * options_.pumps_per_node;
-  workers_left_.store(num_workers);
-  if (sched_ != nullptr) sched_->ExpectTasks(num_workers + num_pumps);
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_workers + num_pumps));
-  const auto launch = [&](int task_id, auto body) {
-    threads.emplace_back([this, task_id, body] {
-      if (sched_ == nullptr) {
-        body();
-        return;
-      }
-      try {
-        sched_->RegisterCurrentTask(task_id);
-        body();
-      } catch (const SimHalt&) {
-      }
-      sched_->UnregisterCurrentTask();
-    });
-  };
-  int task_id = 0;
-  for (int n = 0; n < options_.num_nodes; ++n) {
-    for (int w = 0; w < options_.workers_per_node; ++w) {
-      launch(task_id++, [this, n] { WorkerBody(n); });
-    }
-  }
+  // Workers are tasks 0.. (node-major), the pumps follow (node-major).
+  // The LAST worker stops the pumps from its registered sim task, so the
+  // scheduler delivers the wakeups (a notify from a non-sim thread is
+  // invisible to parked sim tasks).
+  std::vector<std::function<void()>> pumps;
   for (int n = 0; n < options_.num_nodes; ++n) {
     for (int p = 0; p < options_.pumps_per_node; ++p) {
-      launch(task_id++, [this, n] { transport_->PumpLoop(n); });
+      pumps.push_back([this, n] { transport_->PumpLoop(n); });
     }
   }
-  for (std::thread& t : threads) t.join();
+  RunTasks(
+      sched_, options_.num_nodes * options_.workers_per_node,
+      [this](int worker) { WorkerBody(worker / options_.workers_per_node); },
+      [this] { transport_->Stop(); }, pumps);
 
   if (sched_ != nullptr && sched_->halted() && !sched_->process_crashed()) {
     return "halted: " + sched_->halt_reason();

@@ -69,10 +69,11 @@ class DistWorld {
 
   const std::string& init_error() const { return init_error_; }
 
-  /// Runs the full workload to completion: spawns one thread per worker
-  /// and per pump (registered as sim tasks when simulated; the caller
-  /// must NOT have called ExpectTasks — this does). Returns "" or a
-  /// failure description. Safe to call once.
+  /// Runs the full workload to completion: one task per worker and per
+  /// pump through the shared launcher (RunTasks in engine/driver.h;
+  /// registered as sim tasks when simulated, and the caller must NOT have
+  /// called ExpectTasks — the launcher does). Returns "" or a failure
+  /// description. Safe to call once.
   std::string RunWorkload();
 
   /// Total sim tasks RunWorkload registers (for harnesses composing
@@ -124,7 +125,6 @@ class DistWorld {
   std::string init_error_;
 
   std::vector<std::unique_ptr<std::atomic<int>>> next_index_;
-  std::atomic<int> workers_left_{0};
   std::atomic<std::uint64_t> committed_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> crashed_{0};

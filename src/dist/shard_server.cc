@@ -1,5 +1,7 @@
 #include "dist/shard_server.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 namespace hdd {
@@ -18,8 +20,18 @@ SyntheticWorkloadParams MakeParams(const ShardServerOptions& options) {
 ShardServer::ShardServer(ShardServerOptions options)
     : options_(std::move(options)),
       workload_(MakeParams(options_)),
-      map_(ShardMap::Contiguous(options_.depth,
-                                static_cast<int>(options_.peers.size()))) {
+      // At least one node, so an empty peer list (rejected below) never
+      // reaches the split's division.
+      map_(ShardMap::Contiguous(
+          options_.depth,
+          std::max(1, static_cast<int>(options_.peers.size())))) {
+  if (options_.node_id < 0 ||
+      options_.node_id >= static_cast<int>(options_.peers.size())) {
+    init_error_ = "shard node id " + std::to_string(options_.node_id) +
+                  " is not an index into the " +
+                  std::to_string(options_.peers.size()) + "-entry peer list";
+    return;
+  }
   Result<HierarchySchema> schema = HierarchySchema::Create(workload_.Spec());
   if (!schema.ok()) {
     init_error_ = schema.status().ToString();

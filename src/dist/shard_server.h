@@ -23,7 +23,8 @@ namespace hdd {
 struct ShardServerOptions {
   /// This process's node id and every node's dist-transport address
   /// (peers[node_id] is the port THIS process binds; all processes must
-  /// be started with the same peer list).
+  /// be started with the same peer list). A node id outside [0,
+  /// peers.size()) is an init_error: Start() fails, nothing is opened.
   int node_id = 0;
   std::vector<SocketPeer> peers;
 
@@ -82,8 +83,11 @@ class ShardServer {
 
   std::uint16_t front_port() const;
   std::uint16_t dist_port() const { return transport_->bound_port(); }
-  /// Transport sockets still open — must be 0 after Stop().
-  int transport_open_fds() const { return transport_->open_fds(); }
+  /// Transport sockets still open — must be 0 after Stop(), and is 0 when
+  /// construction failed before the transport existed.
+  int transport_open_fds() const {
+    return transport_ != nullptr ? transport_->open_fds() : 0;
+  }
 
   const ShardMap& shard_map() const { return map_; }
   HddController& controller() { return *cc_; }

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <utility>
 
-#include "dist/codec.h"
+#include "common/codec.h"
 #include "net/frame.h"
 
 namespace hdd {
@@ -134,7 +134,7 @@ void SocketTransport::ServeConnection(int fd) {
     std::string_view in(payload);
     std::uint64_t rpc_id = 0;
     std::uint32_t from = 0;
-    if (!distcodec::GetU64(&in, &rpc_id) || !distcodec::GetU32(&in, &from)) {
+    if (!GetU64(&in, &rpc_id) || !GetU32(&in, &from)) {
       break;  // protocol violation: drop the connection
     }
     Result<std::string> result =
@@ -142,7 +142,7 @@ void SocketTransport::ServeConnection(int fd) {
                  : Result<std::string>(
                        Status::Internal("dist: no handler registered"));
     std::string reply;
-    distcodec::PutU64(&reply, rpc_id);
+    PutU64(&reply, rpc_id);
     reply += EncodeDistResponse(result);
     std::string framed;
     AppendNetFrame(&framed, reply);
@@ -196,8 +196,8 @@ Result<std::string> SocketTransport::Call(int from, int to,
     HDD_RETURN_IF_ERROR(EnsureConnected(peer, to));
     const std::uint64_t rpc_id = peer.next_rpc++;
     std::string payload;
-    distcodec::PutU64(&payload, rpc_id);
-    distcodec::PutU32(&payload, static_cast<std::uint32_t>(from));
+    PutU64(&payload, rpc_id);
+    PutU32(&payload, static_cast<std::uint32_t>(from));
     payload += request;
     std::string framed;
     AppendNetFrame(&framed, payload);
@@ -214,7 +214,7 @@ Result<std::string> SocketTransport::Call(int from, int to,
     }
     std::string_view in(reply);
     std::uint64_t got_id = 0;
-    if (!distcodec::GetU64(&in, &got_id) || got_id != rpc_id) {
+    if (!GetU64(&in, &got_id) || got_id != rpc_id) {
       CloseFd(peer.fd);
       return Status::IoError("dist: response for a different rpc");
     }

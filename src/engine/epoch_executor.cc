@@ -7,11 +7,10 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "common/sim_hook.h"
+#include "engine/driver.h"
 #include "obs/trace.h"
-#include "sim/sim_scheduler.h"
 
 // Yield-point convention: same as src/hdd (see hdd_controller.cc) — the
 // executor's own yields sit OUTSIDE any lock and are non-interruptible
@@ -47,8 +46,6 @@ struct Slot {
   int attempts = 0;         // aborted attempts consumed
   std::chrono::steady_clock::time_point t0;
 };
-
-enum class Outcome { kCommitted, kRetry, kFailed, kCrashed };
 
 }  // namespace
 
@@ -148,103 +145,42 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
                                 const EpochExecutorOptions& options) {
   EpochState state;
   state.slots.reserve(total_txns);  // see EpochState::slots
-  std::atomic<std::uint64_t> committed{0};
-  std::atomic<std::uint64_t> aborted{0};
-  std::atomic<std::uint64_t> failed{0};
-  std::atomic<std::uint64_t> crashed{0};
-  std::atomic<std::uint64_t> done{0};
+  RunTally tally(options);
   const std::uint64_t epoch_size = std::max<std::uint64_t>(1, options.epoch_size);
 
-  std::vector<LatencyReservoir> latencies;
-  latencies.reserve(static_cast<std::size_t>(options.num_threads));
-  for (int i = 0; i < options.num_threads; ++i) {
-    latencies.emplace_back(/*capacity=*/4096,
-                           options.seed * 6271 + static_cast<std::uint64_t>(i));
-  }
-
-  // Per-worker class breakdowns, merged after the join (finish_program may
-  // run on any worker, but never concurrently for one worker_id).
-  std::vector<std::map<ClassId, PerClassStats>> per_class_by_worker(
-      static_cast<std::size_t>(options.num_threads));
-
-  const auto finish_program = [&](int slot_idx, Outcome outcome,
+  // Terminal outcomes only (kCommitted, kFailed, kCrashed); a kRetry slot
+  // goes back to the next epoch instead.
+  const auto finish_program = [&](int slot_idx, AttemptOutcome outcome,
                                   int worker_id) {
-    Slot* slot = state.slots[static_cast<std::size_t>(slot_idx)].get();
-    switch (outcome) {
-      case Outcome::kCommitted: {
-        committed.fetch_add(1);
-        const auto t1 = std::chrono::steady_clock::now();
-        latencies[static_cast<std::size_t>(worker_id)].Add(
-            std::chrono::duration<double, std::micro>(t1 - slot->t0).count());
-        break;
-      }
-      case Outcome::kFailed:
-        failed.fetch_add(1);
-        break;
-      case Outcome::kCrashed:
-        crashed.fetch_add(1);
-        break;
-      case Outcome::kRetry:
-        return;  // not terminal; no completion callback
-    }
+    const Slot& slot = *state.slots[static_cast<std::size_t>(slot_idx)];
     ProgramResult result;
-    result.committed = outcome == Outcome::kCommitted;
-    result.failed = outcome == Outcome::kFailed;
-    result.crashed = outcome == Outcome::kCrashed;
-    result.aborted_attempts = static_cast<std::uint64_t>(slot->attempts);
-    const ClassId cls = slot->program.options.read_only
-                            ? kReadOnlyClass
-                            : slot->program.options.txn_class;
-    PerClassStats& row =
-        per_class_by_worker[static_cast<std::size_t>(worker_id)][cls];
-    row.committed += result.committed ? 1 : 0;
-    row.aborted_attempts += result.aborted_attempts;
-    row.failed += result.failed ? 1 : 0;
-    row.crashed += result.crashed ? 1 : 0;
-    if (options.on_program_done) options.on_program_done(slot->index, result);
-    if (options.on_txn_done) options.on_txn_done(done.fetch_add(1) + 1);
+    result.committed = outcome == AttemptOutcome::kCommitted;
+    result.failed = outcome == AttemptOutcome::kFailed;
+    result.crashed = outcome == AttemptOutcome::kCrashed;
+    result.aborted_attempts = static_cast<std::uint64_t>(slot.attempts);
+    tally.Finish(worker_id, slot.index, slot.program.options, result, slot.t0);
   };
 
-  // Executes one ready node to completion (the attempt/fault boundary,
-  // mirroring the per-txn executor's RunOne). Returns the outcome; the
-  // caller owns the graph bookkeeping.
-  const auto run_node = [&](Slot* slot, const TxnDescriptor& txn) -> Outcome {
+  // Charges one aborted attempt to `slot`; kFailed once over budget.
+  const auto charge = [&](Slot& slot) {
+    ++slot.attempts;
+    return slot.attempts > options.max_retries ? AttemptOutcome::kFailed
+                                               : AttemptOutcome::kRetry;
+  };
+
+  // Executes one ready node to completion through the shared attempt
+  // boundary. Returns kCommitted, kRetry, kFailed or kCrashed; the caller
+  // owns the graph bookkeeping. A retry is re-admitted next epoch, so
+  // there is no backoff here.
+  const auto run_node = [&](Slot* slot, const TxnDescriptor& txn) {
     HDD_TRACE_SPAN("exec", "epoch_txn");
     if (options.sim != nullptr) options.sim->OnTxnAttemptStart();
-    Status status;
-    bool faulted = false;
-    bool fault_crash = false;
-    try {
-      status = slot->program.body(cc, txn);
-      if (status.ok()) {
-        status = cc.Commit(txn);
-        if (status.ok()) return Outcome::kCommitted;
-        if (status.IsRetryable()) {
-          // Commit-time validation failure: the controller already
-          // discarded the transaction; re-admit next epoch.
-          ++slot->attempts;
-          aborted.fetch_add(1);
-          return slot->attempts > options.max_retries ? Outcome::kFailed
-                                                      : Outcome::kRetry;
-        }
-        return Outcome::kFailed;
-      }
-    } catch (const SimFault& fault) {
-      faulted = true;
-      fault_crash = fault.kind == SimFaultKind::kCrash;
+    const AttemptOutcome outcome = RunAttempt(cc, slot->program, txn);
+    if (outcome == AttemptOutcome::kRetry ||
+        outcome == AttemptOutcome::kBackoff) {
+      return charge(*slot);
     }
-    // Abort paths are non-interruptible, so this never throws SimFault;
-    // SimHalt still propagates to the worker loop via RAII.
-    (void)cc.Abort(txn);
-    if (faulted && fault_crash) return Outcome::kCrashed;
-    if (faulted || status.IsRetryable() ||
-        status.code() == StatusCode::kBusy) {
-      ++slot->attempts;
-      aborted.fetch_add(1);
-      return slot->attempts > options.max_retries ? Outcome::kFailed
-                                                  : Outcome::kRetry;
-    }
-    return Outcome::kFailed;
+    return outcome;
   };
 
   // Admits the next epoch. Called by the worker holding `admitting`, with
@@ -252,6 +188,15 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
   // controller admission (retrying injected faults), builds the graph and
   // publishes the ready set. Sets `finished` when the work ran dry.
   const auto admit_next = [&](int worker_id, Rng& rng) {
+    // A transient admission failure charges the batch head's budget and
+    // fails the head once it is spent.
+    const auto charge_head = [&](std::vector<int>& batch_slots) {
+      Slot& head = *state.slots[static_cast<std::size_t>(batch_slots.front())];
+      if (charge(head) == AttemptOutcome::kFailed) {
+        finish_program(batch_slots.front(), AttemptOutcome::kFailed, worker_id);
+        batch_slots.erase(batch_slots.begin());
+      }
+    };
     if (state.handle_open) {
       // All nodes of the previous epoch completed (the barrier): close it
       // before the next anchor is ticked.
@@ -300,55 +245,40 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
             handle.status().IsRetryable()) {
           // Transient (e.g. a Restructure holds the epoch/restructure
           // exclusion): charge the head's budget and retry the batch.
-          Slot* head =
-              state.slots[static_cast<std::size_t>(batch_slots.front())].get();
-          ++head->attempts;
-          aborted.fetch_add(1);
-          if (head->attempts > options.max_retries) {
-            finish_program(batch_slots.front(), Outcome::kFailed, worker_id);
-            batch_slots.erase(batch_slots.begin());
-          }
+          charge_head(batch_slots);
           std::lock_guard<std::mutex> lock(state.mu);
           state.retry.insert(state.retry.end(), batch_slots.begin(),
                              batch_slots.end());
           continue;
         }
-        for (int s : batch_slots) finish_program(s, Outcome::kFailed, worker_id);
+        for (int s : batch_slots) {
+          finish_program(s, AttemptOutcome::kFailed, worker_id);
+        }
         continue;
       }
+      bool head_crashed = false;
       Result<std::vector<TxnDescriptor>> descriptors = [&] {
         try {
           return cc.BeginBatch(*handle, batch_options);
         } catch (const SimFault& fault) {
           (void)cc.EndEpoch(*handle);
+          head_crashed = fault.kind == SimFaultKind::kCrash;
           return Result<std::vector<TxnDescriptor>>(
-              fault.kind == SimFaultKind::kCrash
-                  ? Status::Aborted("sim crash during admission")
-                  : Status::Busy("sim fault during admission"));
+              Status::Busy("sim fault during admission"));
         }
       }();
       if (!descriptors.ok()) {
-        const StatusCode code = descriptors.status().code();
-        const bool head_crashed =
-            code == StatusCode::kAborted &&
-            descriptors.status().message() == "sim crash during admission";
         if (head_crashed) {
-          finish_program(batch_slots.front(), Outcome::kCrashed, worker_id);
+          finish_program(batch_slots.front(), AttemptOutcome::kCrashed,
+                         worker_id);
           batch_slots.erase(batch_slots.begin());
-        } else if (code == StatusCode::kBusy ||
+        } else if (descriptors.status().code() == StatusCode::kBusy ||
                    descriptors.status().IsRetryable()) {
-          Slot* head =
-              state.slots[static_cast<std::size_t>(batch_slots.front())].get();
-          ++head->attempts;
-          aborted.fetch_add(1);
-          if (head->attempts > options.max_retries) {
-            finish_program(batch_slots.front(), Outcome::kFailed, worker_id);
-            batch_slots.erase(batch_slots.begin());
-          }
+          charge_head(batch_slots);
         } else {
           (void)cc.EndEpoch(*handle);
           for (int s : batch_slots) {
-            finish_program(s, Outcome::kFailed, worker_id);
+            finish_program(s, AttemptOutcome::kFailed, worker_id);
           }
           continue;
         }
@@ -392,15 +322,8 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
     }
   };
 
-  if (options.sim != nullptr) {
-    options.sim->ExpectTasks(options.num_threads +
-                             (options.service ? 1 : 0));
-  }
-  std::atomic<bool> workers_done{false};
-  std::atomic<int> workers_left{options.num_threads};
-
-  const auto start = std::chrono::steady_clock::now();
-  auto worker_body = [&](int worker_id, Rng& rng) {
+  const auto worker = [&](int worker_id) {
+    Rng rng(options.seed * 7919 + static_cast<std::uint64_t>(worker_id));
     for (;;) {
       SimYield("epoch/next", /*interruptible=*/false);
       std::unique_lock<std::mutex> lock(state.mu);
@@ -422,7 +345,7 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
           int node;
           int slot_idx;
           TxnDescriptor txn;
-          Outcome outcome;
+          AttemptOutcome outcome;
         };
         std::vector<Claim> claims;
         claims.reserve(want);
@@ -432,7 +355,7 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
           claims.push_back({node,
                             state.node_slot[static_cast<std::size_t>(node)],
                             state.node_txn[static_cast<std::size_t>(node)],
-                            Outcome::kRetry});
+                            AttemptOutcome::kRetry});
         }
         lock.unlock();
         for (Claim& c : claims) {
@@ -455,7 +378,9 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
                 ready_grew = true;
               }
             }
-            if (c.outcome == Outcome::kRetry) state.retry.push_back(c.slot_idx);
+            if (c.outcome == AttemptOutcome::kRetry) {
+              state.retry.push_back(c.slot_idx);
+            }
             ++state.nodes_done;
           }
           if (state.nodes_done == state.nodes_total) {
@@ -471,7 +396,9 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
           SimNotifyAll(state.cv, &state.cv);
         }
         for (const Claim& c : claims) {
-          finish_program(c.slot_idx, c.outcome, worker_id);
+          if (c.outcome != AttemptOutcome::kRetry) {
+            finish_program(c.slot_idx, c.outcome, worker_id);
+          }
         }
         if (epoch_complete) admit_next(worker_id, rng);
         continue;
@@ -486,72 +413,8 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
       SimWait(state.cv, lock, &state.cv);
     }
   };
-  auto worker = [&](int worker_id) {
-    Rng rng(options.seed * 7919 + static_cast<std::uint64_t>(worker_id));
-    if (options.sim == nullptr) {
-      worker_body(worker_id, rng);
-      if (workers_left.fetch_sub(1) == 1) workers_done.store(true);
-      return;
-    }
-    try {
-      options.sim->RegisterCurrentTask(worker_id);
-      worker_body(worker_id, rng);
-    } catch (const SimHalt&) {
-      // Run halted (deadlock finding / budget); stack unwound via RAII.
-    }
-    // Last worker raises the service shutdown flag while still registered
-    // (same determinism argument as RunWorkload: the count of trailing
-    // service steps must be schedule state, not OS-timing state).
-    if (workers_left.fetch_sub(1) == 1) workers_done.store(true);
-    options.sim->UnregisterCurrentTask();
-  };
-  auto service = [&] {
-    if (options.sim == nullptr) {
-      options.service(workers_done);
-      return;
-    }
-    try {
-      options.sim->RegisterCurrentTask(options.num_threads);
-      options.service(workers_done);
-    } catch (const SimHalt&) {
-      // Same halt contract as the workers.
-    }
-    options.sim->UnregisterCurrentTask();
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(options.num_threads));
-  for (int i = 0; i < options.num_threads; ++i) threads.emplace_back(worker, i);
-  std::thread service_thread;
-  if (options.service) service_thread = std::thread(service);
-  for (auto& t : threads) t.join();
-  if (service_thread.joinable()) service_thread.join();
-  const auto end = std::chrono::steady_clock::now();
-
-  ExecutorStats stats;
-  stats.committed = committed.load();
-  stats.aborted_attempts = aborted.load();
-  stats.failed = failed.load();
-  stats.crashed = crashed.load();
+  ExecutorStats stats = RunWorkers(cc, options, tally, worker);
   stats.epochs = state.epochs;
-  stats.seconds = std::chrono::duration<double>(end - start).count();
-
-  const LatencyDigest digest = MergeReservoirs(latencies);
-  stats.latency_p50_us = digest.p50_us;
-  stats.latency_p95_us = digest.p95_us;
-  stats.latency_p99_us = digest.p99_us;
-  stats.latency_max_us = digest.max_us;
-  stats.cc = cc.metrics().ToMap();
-  if (options.wal_metrics != nullptr) stats.wal = options.wal_metrics->ToMap();
-  for (const auto& worker_map : per_class_by_worker) {
-    for (const auto& [cls, row] : worker_map) {
-      PerClassStats& merged = stats.per_class[cls];
-      merged.committed += row.committed;
-      merged.aborted_attempts += row.aborted_attempts;
-      merged.failed += row.failed;
-      merged.crashed += row.crashed;
-    }
-  }
   return stats;
 }
 

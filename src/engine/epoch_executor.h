@@ -1,7 +1,6 @@
 #ifndef HDD_ENGINE_EPOCH_EXECUTOR_H_
 #define HDD_ENGINE_EPOCH_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -19,27 +18,15 @@ namespace hdd {
 /// a controller may rely on the graph ordering (HDD skips MVTO's
 /// younger-reader write check for epoch transactions). Retryable aborts
 /// re-admit the program in the next epoch; epochs never overlap.
-struct EpochExecutorOptions {
-  int num_threads = 4;
+///
+/// Every ExecutorOptions field keeps its meaning; `max_retries` budgets
+/// re-admissions. A Restructure issued from the `service` returns Busy
+/// while an epoch is open (the BeginEpoch/Restructure exclusion), so the
+/// service retries between epochs.
+struct EpochExecutorOptions : ExecutorOptions {
   /// Programs admitted per epoch (retries from the previous epoch come
   /// first, topped up from the workload stream).
   std::uint64_t epoch_size = 32;
-  /// Re-admission budget per program before it is counted as failed.
-  int max_retries = 10000;
-  std::uint64_t seed = 1;
-  /// Deterministic simulation backend; same contract as ExecutorOptions.
-  SimScheduler* sim = nullptr;
-  /// Same contract as ExecutorOptions::on_txn_done.
-  std::function<void(std::uint64_t)> on_txn_done;
-  /// Same contract as ExecutorOptions::on_program_done: stream index plus
-  /// terminal result, on the worker thread, possibly concurrently.
-  std::function<void(std::uint64_t index, const ProgramResult&)>
-      on_program_done;
-  const WalMetrics* wal_metrics = nullptr;
-  /// Same contract as ExecutorOptions::service. Note a Restructure issued
-  /// from the service returns Busy while an epoch is open (the PR 5
-  /// exclusion) — the service retries between epochs.
-  std::function<void(const std::atomic<bool>& workers_done)> service;
   /// TEST-ONLY mutation canary (sim harness): drop the first dependency
   /// edge of every epoch's graph. Two conflicting transactions of one
   /// class then run unordered while HDD's epoch mode has delegated the

@@ -3,96 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <optional>
-#include <thread>
 #include <vector>
 
-#include "common/sim_hook.h"
+#include "engine/driver.h"
 #include "obs/trace.h"
-#include "sim/sim_scheduler.h"
 
 namespace hdd {
 
-// Runs one program to completion (commit, or failure after the retry
-// budget). Under simulation this is also the fault boundary: a SimFault
-// thrown from an interruptible yield point inside the controller unwinds
-// to here, the in-flight transaction is aborted (modelling recovery), and
-// the attempt is retried (kAbort) or abandoned (kCrash).
 ProgramResult RunProgram(ConcurrencyController& cc, const TxnProgram& program,
                          int max_retries, SimScheduler* sim) {
   HDD_TRACE_SPAN("exec", "txn");
-  ProgramResult result;
-  std::uint64_t& aborted = result.aborted_attempts;
-  for (int attempt = 0; attempt <= max_retries; ++attempt) {
-    if (sim != nullptr) sim->OnTxnAttemptStart();
-    std::optional<Result<TxnDescriptor>> txn;
-    try {
-      txn.emplace(cc.Begin(program.options));
-    } catch (const SimFault& fault) {
-      // Fault before the transaction existed: nothing to clean up.
-      if (fault.kind == SimFaultKind::kCrash) {
-        result.crashed = true;
-        return result;
-      }
-      ++aborted;
-      continue;
-    }
-    if (!txn->ok()) {
-      result.failed = true;
-      return result;
-    }
-    Status status;
-    bool fault_crash = false;
-    bool faulted = false;
-    try {
-      status = program.body(cc, **txn);
-      if (status.ok()) {
-        status = cc.Commit(**txn);
-        if (status.ok()) {
-          result.committed = true;
-          return result;
-        }
-        if (status.IsRetryable()) {
-          // Commit-time validation failure (e.g. OCC): the controller has
-          // already discarded the transaction; just restart the program.
-          ++aborted;
-          continue;
-        }
-        result.failed = true;
-        return result;
-      }
-    } catch (const SimFault& fault) {
-      faulted = true;
-      fault_crash = fault.kind == SimFaultKind::kCrash;
-    }
-    // Abort paths are non-interruptible yield sites, so this never throws
-    // SimFault (a throw here would escape the attempt boundary); SimHalt
-    // still propagates to the worker loop, unwinding via RAII only.
-    (void)cc.Abort(**txn);  // best effort; the txn may already be gone
-    if (faulted) {
-      if (fault_crash) {
-        result.crashed = true;
-        return result;
-      }
-      ++aborted;
-      continue;
-    }
-    if (status.IsRetryable() || status.code() == StatusCode::kBusy) {
-      ++aborted;
-      // Exponential backoff breaks symmetric abort-retry livelocks
-      // (e.g. TO read-modify-write storms on a hot granule). Under
-      // simulation the sleep is a plain reschedule.
-      if (attempt > 2) {
-        SimSleep(std::chrono::microseconds(
-            std::min(1 << std::min(attempt, 12), 2000)));
-      }
-      continue;
-    }
-    result.failed = true;
-    return result;
-  }
-  result.failed = true;
-  return result;
+  return RunWithRetries(cc, program.options, max_retries, sim,
+                        [&](const TxnDescriptor& txn) {
+                          return RunAttempt(cc, program, txn);
+                        });
 }
 
 LatencyDigest MergeReservoirs(const std::vector<LatencyReservoir>& parts) {
@@ -133,36 +57,9 @@ ExecutorStats RunWorkload(ConcurrencyController& cc, const Workload& workload,
                           std::uint64_t total_txns,
                           const ExecutorOptions& options) {
   std::atomic<std::uint64_t> next_index{0};
-  std::atomic<std::uint64_t> committed{0};
-  std::atomic<std::uint64_t> aborted{0};
-  std::atomic<std::uint64_t> failed{0};
-  std::atomic<std::uint64_t> crashed{0};
-  std::vector<LatencyReservoir> latencies;
-  latencies.reserve(options.num_threads);
-  for (int i = 0; i < options.num_threads; ++i) {
-    latencies.emplace_back(/*capacity=*/4096,
-                           options.seed * 6271 +
-                               static_cast<std::uint64_t>(i));
-  }
-  // Per-worker class breakdowns, merged after the join (no contention on
-  // the hot path).
-  std::vector<std::map<ClassId, PerClassStats>> per_class_by_worker(
-      static_cast<std::size_t>(options.num_threads));
-
-  // Under simulation, task identity must be assigned by US (worker id),
-  // not by thread startup order — the one nondeterminism the scheduler
-  // cannot own — and no task may run before all have registered. The
-  // service loop, when present, is one more task (id = num_threads).
-  if (options.sim != nullptr) {
-    options.sim->ExpectTasks(options.num_threads +
-                             (options.service ? 1 : 0));
-  }
-
-  std::atomic<std::uint64_t> done{0};
-  std::atomic<bool> workers_done{false};
-  std::atomic<int> workers_left{options.num_threads};
-  const auto start = std::chrono::steady_clock::now();
-  auto worker_body = [&](int worker_id, Rng& rng) {
+  RunTally tally(options);
+  return RunWorkers(cc, options, tally, [&](int worker_id) {
+    Rng rng(options.seed * 7919 + static_cast<std::uint64_t>(worker_id));
     for (;;) {
       const std::uint64_t index = next_index.fetch_add(1);
       if (index >= total_txns) return;
@@ -170,97 +67,9 @@ ExecutorStats RunWorkload(ConcurrencyController& cc, const Workload& workload,
       const auto t0 = std::chrono::steady_clock::now();
       const ProgramResult result =
           RunProgram(cc, program, options.max_retries, options.sim);
-      const auto t1 = std::chrono::steady_clock::now();
-      aborted.fetch_add(result.aborted_attempts);
-      if (result.crashed) {
-        crashed.fetch_add(1);
-      } else if (result.failed) {
-        failed.fetch_add(1);
-      } else {
-        committed.fetch_add(1);
-        latencies[worker_id].Add(
-            std::chrono::duration<double, std::micro>(t1 - t0).count());
-      }
-      const ClassId cls = program.options.read_only ? kReadOnlyClass
-                                                    : program.options.txn_class;
-      PerClassStats& row =
-          per_class_by_worker[static_cast<std::size_t>(worker_id)][cls];
-      row.committed += result.committed ? 1 : 0;
-      row.aborted_attempts += result.aborted_attempts;
-      row.failed += result.failed ? 1 : 0;
-      row.crashed += result.crashed ? 1 : 0;
-      if (options.on_program_done) options.on_program_done(index, result);
-      if (options.on_txn_done) options.on_txn_done(done.fetch_add(1) + 1);
+      tally.Finish(worker_id, index, program.options, result, t0);
     }
-  };
-  auto worker = [&](int worker_id) {
-    Rng rng(options.seed * 7919 + static_cast<std::uint64_t>(worker_id));
-    if (options.sim == nullptr) {
-      worker_body(worker_id, rng);
-      if (workers_left.fetch_sub(1) == 1) workers_done.store(true);
-      return;
-    }
-    try {
-      options.sim->RegisterCurrentTask(worker_id);
-      worker_body(worker_id, rng);
-    } catch (const SimHalt&) {
-      // Run halted (deadlock finding / budget); stack unwound via RAII.
-    }
-    // The LAST worker raises the shutdown flag while still registered:
-    // the service task then observes it at a schedule-determined point,
-    // not whenever the joining OS thread happens to run (which would make
-    // the number of trailing service steps — and so the whole decision
-    // trace — unreplayable).
-    if (workers_left.fetch_sub(1) == 1) workers_done.store(true);
-    options.sim->UnregisterCurrentTask();
-  };
-  auto service = [&] {
-    if (options.sim == nullptr) {
-      options.service(workers_done);
-      return;
-    }
-    try {
-      options.sim->RegisterCurrentTask(options.num_threads);
-      options.service(workers_done);
-    } catch (const SimHalt&) {
-      // Same halt contract as the workers.
-    }
-    options.sim->UnregisterCurrentTask();
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(options.num_threads);
-  for (int i = 0; i < options.num_threads; ++i) threads.emplace_back(worker, i);
-  std::thread service_thread;
-  if (options.service) service_thread = std::thread(service);
-  for (auto& t : threads) t.join();
-  if (service_thread.joinable()) service_thread.join();
-  const auto end = std::chrono::steady_clock::now();
-
-  ExecutorStats stats;
-  stats.committed = committed.load();
-  stats.aborted_attempts = aborted.load();
-  stats.failed = failed.load();
-  stats.crashed = crashed.load();
-  stats.seconds = std::chrono::duration<double>(end - start).count();
-
-  const LatencyDigest digest = MergeReservoirs(latencies);
-  stats.latency_p50_us = digest.p50_us;
-  stats.latency_p95_us = digest.p95_us;
-  stats.latency_p99_us = digest.p99_us;
-  stats.latency_max_us = digest.max_us;
-  stats.cc = cc.metrics().ToMap();
-  if (options.wal_metrics != nullptr) stats.wal = options.wal_metrics->ToMap();
-  for (const auto& worker_map : per_class_by_worker) {
-    for (const auto& [cls, row] : worker_map) {
-      PerClassStats& merged = stats.per_class[cls];
-      merged.committed += row.committed;
-      merged.aborted_attempts += row.aborted_attempts;
-      merged.failed += row.failed;
-      merged.crashed += row.crashed;
-    }
-  }
-  return stats;
+  });
 }
 
 }  // namespace hdd

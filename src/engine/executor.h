@@ -30,9 +30,10 @@ struct ProgramResult {
 /// Runs one program to completion against `cc`: Begin/body/Commit with
 /// retry on retryable conflicts (kAborted, kDeadlock, kBusy) up to
 /// `max_retries`, exponential backoff after repeated aborts, and (under
-/// simulation) the attempt-level fault boundary. This is the executor's
-/// core, exposed so push-based drivers — the network server's worker
-/// pool — run exactly the engine the workload executor runs.
+/// simulation) the attempt-level fault boundary — engine/driver.h's
+/// RunWithRetries around RunAttempt. This is the executor's core, exposed
+/// so push-based drivers — the network server's worker pool — run exactly
+/// the engine the workload executor runs.
 ProgramResult RunProgram(ConcurrencyController& cc, const TxnProgram& program,
                          int max_retries = 10000, SimScheduler* sim = nullptr);
 
@@ -42,10 +43,11 @@ struct ExecutorOptions {
   int max_retries = 10000;
   std::uint64_t seed = 1;
   /// Deterministic simulation backend. When set, each worker registers as
-  /// a task of this scheduler (task id = worker id), every interleaving
-  /// decision is the scheduler's, injected SimFault aborts/crashes are
-  /// handled at the attempt boundary, and backoff sleeps become
-  /// reschedules. When null, workers are plain OS threads.
+  /// a task of this scheduler (task id = worker id; see RunTasks in
+  /// engine/driver.h), every interleaving decision is the scheduler's,
+  /// injected SimFault aborts/crashes are handled at the attempt boundary,
+  /// and backoff sleeps become reschedules. When null, workers are plain
+  /// OS threads.
   SimScheduler* sim = nullptr;
   /// Called by the finishing worker after each program completes (commit,
   /// failure, or crash-abandonment), with the number of programs finished
@@ -69,8 +71,7 @@ struct ExecutorOptions {
   std::function<void(const std::atomic<bool>& workers_done)> service;
   /// Called on the worker thread after each program reaches its terminal
   /// result, with the program's stream index. May run concurrently for
-  /// different programs; the callee synchronizes. The network server uses
-  /// it to turn completions into responses.
+  /// different programs; the callee synchronizes.
   std::function<void(std::uint64_t index, const ProgramResult&)>
       on_program_done;
 };
@@ -166,7 +167,7 @@ struct ExecutorStats {
 
   /// Per-class admission/abort breakdown, keyed by the program's declared
   /// class (kReadOnlyClass = ad-hoc read-only). Populated by RunWorkload
-  /// and RunWorkloadEpochs.
+  /// and RunWorkloadEpochs; the four totals above are its column sums.
   std::map<ClassId, PerClassStats> per_class;
 
   double Throughput() const {

@@ -125,9 +125,9 @@ class Redecomposer {
   /// obligation). Hard errors are also latched into last_error().
   Status Poll();
 
-  /// Service loop for ExecutorOptions::service / EpochExecutorOptions::
-  /// service: polls until `done`, yielding between polls (a real sleep
-  /// outside simulation), then drains one final time.
+  /// Service loop for ExecutorOptions::service (both executors): polls
+  /// until `done`, yielding between polls (a real sleep outside
+  /// simulation), then drains one final time.
   void RunUntil(const std::atomic<bool>& done);
 
   /// Convenience binding for the executor options.

@@ -5,12 +5,12 @@
 #include <optional>
 #include <thread>
 
+#include "common/codec.h"
 #include "common/sim_hook.h"
 #include "graph/algorithms.h"
 #include "obs/trace.h"
 #include "graph/decomposition.h"
 #include "wal/checkpoint.h"
-#include "wal/log_format.h"
 #include "wal/wal_manager.h"
 
 // Yield-point convention (deterministic simulation, src/sim/): SimYield

@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include "common/codec.h"
 #include "wal/log_format.h"
 
 namespace hdd {

@@ -18,10 +18,14 @@
 // anything else), prints the bound port on stdout, serves until SIGINT or
 // SIGTERM, then shuts down gracefully and prints a per-class summary.
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <ctime>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -76,10 +80,8 @@ int RunShard(int argc, char** argv, int node_id) {
   options.node_id = node_id;
   options.peers =
       ParsePeers(hdd::FlagValue(argc, argv, "--shard_peers").value_or(""));
-  if (options.peers.size() < 2 ||
-      node_id >= static_cast<int>(options.peers.size())) {
-    std::cerr << "--shard_peers must list a dist port per node and "
-                 "--shard must index into it\n";
+  if (options.peers.size() < 2) {
+    std::cerr << "--shard_peers must list a dist port per node\n";
     return 1;
   }
   options.depth = static_cast<int>(IntFlagOr(argc, argv, "--depth", 4));
@@ -127,8 +129,20 @@ int RunShard(int argc, char** argv, int node_id) {
 
 int main(int argc, char** argv) {
   if (const auto shard = hdd::FlagValue(argc, argv, "--shard")) {
-    return RunShard(argc, argv,
-                    static_cast<int>(std::strtol(shard->c_str(), nullptr, 10)));
+    // Strict: the whole value must be decimal digits that fit an int. The
+    // shard server range-checks it against the peer list.
+    const bool digits =
+        !shard->empty() &&
+        std::all_of(shard->begin(), shard->end(),
+                    [](unsigned char c) { return std::isdigit(c) != 0; });
+    errno = 0;
+    const long node_id =
+        digits ? std::strtol(shard->c_str(), nullptr, 10) : -1;
+    if (!digits || errno != 0 || node_id > std::numeric_limits<int>::max()) {
+      std::cerr << "--shard must be a node index, got '" << *shard << "'\n";
+      return 1;
+    }
+    return RunShard(argc, argv, static_cast<int>(node_id));
   }
   hdd::SyntheticWorkloadParams params;
   params.depth = static_cast<int>(IntFlagOr(argc, argv, "--depth", 4));

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "wal/log_format.h"
+#include "common/codec.h"
 
 namespace hdd {
 
@@ -13,17 +13,6 @@ namespace {
 // allocate. (The frame payload itself is already capped at 1 MiB.)
 constexpr std::uint32_t kMaxOps = 1u << 16;
 constexpr std::uint32_t kMaxScope = 1u << 12;
-
-void PutU8(std::string* out, std::uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-bool GetU8(std::string_view* data, std::uint8_t* v) {
-  if (data->empty()) return false;
-  *v = static_cast<std::uint8_t>((*data)[0]);
-  data->remove_prefix(1);
-  return true;
-}
 
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed message: ") + what);

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
 #include "wal/log_format.h"
 #include "wal/wal_manager.h"
 

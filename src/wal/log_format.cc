@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "common/codec.h"
+
 namespace hdd {
 
 namespace {
@@ -27,42 +29,6 @@ std::uint32_t Crc32(std::string_view data) {
     crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-bool GetU32(std::string_view* data, std::uint32_t* v) {
-  if (data->size() < 4) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<std::uint32_t>(
-              static_cast<unsigned char>((*data)[static_cast<std::size_t>(i)]))
-          << (8 * i);
-  }
-  data->remove_prefix(4);
-  return true;
-}
-
-bool GetU64(std::string_view* data, std::uint64_t* v) {
-  if (data->size() < 8) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<std::uint64_t>(
-              static_cast<unsigned char>((*data)[static_cast<std::size_t>(i)]))
-          << (8 * i);
-  }
-  data->remove_prefix(8);
-  return true;
 }
 
 void AppendFrame(std::string* out, std::string_view payload) {

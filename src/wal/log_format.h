@@ -115,13 +115,6 @@ struct WalRecord {
 std::string EncodeWalRecord(const WalRecord& record);
 Result<WalRecord> DecodeWalRecord(std::string_view payload);
 
-// Little-endian integer helpers shared by the checkpoint encoder.
-void PutU32(std::string* out, std::uint32_t v);
-void PutU64(std::string* out, std::uint64_t v);
-/// Reads and advances `*data`; false when too short.
-bool GetU32(std::string_view* data, std::uint32_t* v);
-bool GetU64(std::string_view* data, std::uint64_t* v);
-
 }  // namespace hdd
 
 #endif  // HDD_WAL_LOG_FORMAT_H_

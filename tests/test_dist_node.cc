@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "dist/dist_message.h"
 #include "dist/dist_node.h"
 #include "dist/dist_world.h"
+#include "dist/shard_server.h"
 #include "engine/synthetic_workload.h"
 #include "hdd/hdd_controller.h"
 #include "storage/database.h"
@@ -232,6 +234,36 @@ TEST(DistNodeTest, ClockServiceUnavailableWithoutClock) {
   auto got = node.Handle(0, EncodeClockReq(DistMsgType::kClockTickReq));
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Descriptors this process holds right now.
+int OpenFds() {
+  int count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// A node id outside [0, peers.size()) is rejected at construction, for
+// every caller: Start() fails and no transport socket is ever opened (a
+// node id of -1 used to bind peers[-1] and serve).
+TEST(ShardServerTest, NodeIdOutsidePeerListFailsStart) {
+  const std::vector<SocketPeer> peers = {{"", 0}, {"", 0}};
+  for (const int node_id : {-1, static_cast<int>(peers.size())}) {
+    SCOPED_TRACE(node_id);
+    const int fds_before = OpenFds();
+    ShardServerOptions options;
+    options.node_id = node_id;
+    options.peers = peers;
+    ShardServer server(options);
+    EXPECT_NE(server.init_error(), "");
+    EXPECT_FALSE(server.Start().ok());
+    EXPECT_EQ(server.transport_open_fds(), 0);
+    EXPECT_EQ(OpenFds(), fds_before);
+    EXPECT_TRUE(server.Stop().ok());
+  }
 }
 
 }  // namespace

@@ -1,14 +1,38 @@
-// Unit tests for the executor's latency accounting: per-thread reservoir
-// sampling (Vitter's algorithm R) and the weighted merge that turns the
-// per-thread reservoirs into workload-level percentiles.
+// Unit tests for the executor's latency accounting (per-thread reservoir
+// sampling, Vitter's algorithm R, and the weighted merge that turns the
+// per-thread reservoirs into workload-level percentiles), plus the
+// drivers' shared contract, checked against both RunWorkload and
+// RunWorkloadEpochs with program bodies that return scripted statuses:
+//  * every program ends exactly once: committed + failed + crashed == N;
+//  * the per-class rows sum to the totals;
+//  * on_txn_done sees 1..N, each exactly once, and on_program_done every
+//    stream index exactly once with the scripted terminal result;
+//  * a program aborted on every attempt fails after max_retries + 1
+//    aborted attempts;
+//  * the service task observes workers_done and returns;
+//  * under simulation (injected aborts and crashes) the same identities
+//    hold, crashes included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/rng.h"
+#include "engine/epoch_executor.h"
 #include "engine/executor.h"
+#include "engine/synthetic_workload.h"
+#include "hdd/hdd_controller.h"
+#include "sim/sim_clock.h"
+#include "sim/sim_scheduler.h"
 
 namespace hdd {
 namespace {
@@ -120,6 +144,290 @@ TEST(MergeReservoirsTest, PercentilesAreMonotone) {
   EXPECT_LE(digest.p95_us, digest.p99_us);
   EXPECT_LE(digest.p99_us, digest.max_us);
 }
+
+// ---------------------------------------------------------------------------
+// The drivers' contract.
+
+enum class Driver { kPerTxn, kEpoch };
+
+std::string DriverName(const ::testing::TestParamInfo<Driver>& info) {
+  return info.param == Driver::kPerTxn ? "PerTxn" : "Epoch";
+}
+
+ExecutorStats RunDriver(Driver driver, ConcurrencyController& cc,
+                        const Workload& workload, std::uint64_t n,
+                        const ExecutorOptions& options) {
+  if (driver == Driver::kPerTxn) return RunWorkload(cc, workload, n, options);
+  EpochExecutorOptions epoch;
+  epoch.num_threads = options.num_threads;
+  epoch.max_retries = options.max_retries;
+  epoch.seed = options.seed;
+  epoch.sim = options.sim;
+  epoch.on_txn_done = options.on_txn_done;
+  epoch.on_program_done = options.on_program_done;
+  epoch.service = options.service;
+  epoch.epoch_size = 4;
+  return RunWorkloadEpochs(cc, workload, n, epoch);
+}
+
+// What a scripted program's body does, by stream index.
+enum class Script {
+  kCommit,        // OK -> committed, no aborts
+  kAlwaysAbort,   // kAborted on every attempt -> failed, budget + 1 aborts
+  kHardError,     // non-retryable -> failed, no aborts
+  kBusyOnce,      // kBusy on the first attempt only -> committed, 1 abort
+};
+
+Script ScriptOf(std::uint64_t index) {
+  return static_cast<Script>(index % 4);
+}
+
+// Programs whose bodies touch no data and return their scripted status.
+// Classes cycle over the hierarchy's classes plus ad-hoc read-only, so
+// every per-class row is populated.
+class ScriptedWorkload : public Workload {
+ public:
+  explicit ScriptedWorkload(int num_classes) : num_classes_(num_classes) {}
+
+  TxnProgram Make(std::uint64_t index, Rng&) const override {
+    TxnProgram p;
+    const int slot = static_cast<int>((index / 4) %
+                                      static_cast<std::uint64_t>(
+                                          num_classes_ + 1));
+    if (slot == num_classes_) {
+      p.options.read_only = true;
+    } else {
+      p.options.txn_class = static_cast<ClassId>(slot);
+    }
+    auto calls = std::make_shared<int>(0);
+    const Script script = ScriptOf(index);
+    p.body = [script, calls](ConcurrencyController&,
+                             const TxnDescriptor&) -> Status {
+      const int call = (*calls)++;
+      switch (script) {
+        case Script::kCommit:
+          return Status::OK();
+        case Script::kAlwaysAbort:
+          return Status::Aborted("scripted abort");
+        case Script::kHardError:
+          return Status::InvalidArgument("scripted hard error");
+        case Script::kBusyOnce:
+          return call == 0 ? Status::Busy("scripted busy") : Status::OK();
+      }
+      return Status::OK();
+    };
+    return p;
+  }
+
+ private:
+  int num_classes_;
+};
+
+void ExpectRowsSumToTotals(const ExecutorStats& stats) {
+  PerClassStats sum;
+  for (const auto& [cls, row] : stats.per_class) {
+    sum.committed += row.committed;
+    sum.aborted_attempts += row.aborted_attempts;
+    sum.failed += row.failed;
+    sum.crashed += row.crashed;
+  }
+  EXPECT_EQ(sum.committed, stats.committed);
+  EXPECT_EQ(sum.aborted_attempts, stats.aborted_attempts);
+  EXPECT_EQ(sum.failed, stats.failed);
+  EXPECT_EQ(sum.crashed, stats.crashed);
+}
+
+// Completion callbacks, collected under a mutex (they may run
+// concurrently on different workers).
+struct Completions {
+  std::mutex mu;
+  std::vector<std::uint64_t> txn_done;
+  std::map<std::uint64_t, ProgramResult> programs;
+  int duplicate_programs = 0;
+
+  void Wire(ExecutorOptions& options) {
+    options.on_txn_done = [this](std::uint64_t done) {
+      std::lock_guard<std::mutex> lock(mu);
+      txn_done.push_back(done);
+    };
+    options.on_program_done = [this](std::uint64_t index,
+                                      const ProgramResult& result) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!programs.emplace(index, result).second) ++duplicate_programs;
+    };
+  }
+
+  void ExpectEachOnce(std::uint64_t n) {
+    std::vector<std::uint64_t> sorted = txn_done;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint64_t> expected(n);
+    for (std::uint64_t i = 0; i < n; ++i) expected[i] = i + 1;
+    EXPECT_EQ(sorted, expected);
+    EXPECT_EQ(duplicate_programs, 0);
+    EXPECT_EQ(programs.size(), n);
+    for (const auto& [index, result] : programs) {
+      EXPECT_LT(index, n);
+      EXPECT_EQ(int{result.committed} + int{result.failed} +
+                    int{result.crashed},
+                1)
+          << "program " << index;
+    }
+  }
+};
+
+struct HddFixture {
+  explicit HddFixture(int depth) {
+    SyntheticWorkloadParams params;
+    params.depth = depth;
+    params.granules_per_segment = 4;
+    workload = std::make_unique<SyntheticWorkload>(params);
+    Result<HierarchySchema> created = HierarchySchema::Create(workload->Spec());
+    EXPECT_TRUE(created.ok()) << created.status();
+    schema.emplace(std::move(*created));
+    db = workload->MakeDatabase();
+  }
+
+  std::unique_ptr<SyntheticWorkload> workload;
+  std::optional<HierarchySchema> schema;
+  std::unique_ptr<Database> db;
+};
+
+class DriverContract : public ::testing::TestWithParam<Driver> {};
+
+TEST_P(DriverContract, ScriptedOutcomesAreCountedOnce) {
+  constexpr int kDepth = 3;
+  constexpr std::uint64_t kPrograms = 96;
+  constexpr int kMaxRetries = 3;
+  HddFixture fx(kDepth);
+  LogicalClock clock;
+  HddController cc(fx.db.get(), &clock, &*fx.schema);
+  ScriptedWorkload workload(kDepth);
+
+  ExecutorOptions options;
+  options.num_threads = 3;
+  options.max_retries = kMaxRetries;
+  Completions seen;
+  seen.Wire(options);
+  const ExecutorStats stats =
+      RunDriver(GetParam(), cc, workload, kPrograms, options);
+
+  EXPECT_EQ(stats.committed + stats.failed + stats.crashed, kPrograms);
+  EXPECT_EQ(stats.committed, kPrograms / 2);  // kCommit + kBusyOnce
+  EXPECT_EQ(stats.failed, kPrograms / 2);     // kAlwaysAbort + kHardError
+  EXPECT_EQ(stats.crashed, 0u);
+  EXPECT_EQ(stats.aborted_attempts,
+            kPrograms / 4 * (kMaxRetries + 1) + kPrograms / 4);
+  ExpectRowsSumToTotals(stats);
+  // Every class, read-only included, got its own row.
+  EXPECT_EQ(stats.per_class.size(), static_cast<std::size_t>(kDepth + 1));
+  EXPECT_EQ(stats.per_class.count(kReadOnlyClass), 1u);
+
+  seen.ExpectEachOnce(kPrograms);
+  for (const auto& [index, result] : seen.programs) {
+    switch (ScriptOf(index)) {
+      case Script::kCommit:
+        EXPECT_TRUE(result.committed) << index;
+        EXPECT_EQ(result.aborted_attempts, 0u) << index;
+        break;
+      case Script::kAlwaysAbort:
+        EXPECT_TRUE(result.failed) << index;
+        EXPECT_EQ(result.aborted_attempts,
+                  static_cast<std::uint64_t>(kMaxRetries + 1))
+            << index;
+        break;
+      case Script::kHardError:
+        EXPECT_TRUE(result.failed) << index;
+        EXPECT_EQ(result.aborted_attempts, 0u) << index;
+        break;
+      case Script::kBusyOnce:
+        EXPECT_TRUE(result.committed) << index;
+        EXPECT_EQ(result.aborted_attempts, 1u) << index;
+        break;
+    }
+  }
+}
+
+TEST_P(DriverContract, ServiceSeesWorkersDoneAndReturns) {
+  HddFixture fx(2);
+  LogicalClock clock;
+  HddController cc(fx.db.get(), &clock, &*fx.schema);
+  ScriptedWorkload workload(2);
+
+  ExecutorOptions options;
+  options.num_threads = 2;
+  options.max_retries = 1;
+  std::atomic<bool> saw_done{false};
+  std::atomic<std::uint64_t> steps{0};
+  options.service = [&](const std::atomic<bool>& workers_done) {
+    while (!workers_done.load()) {
+      steps.fetch_add(1);
+      std::this_thread::yield();
+    }
+    saw_done.store(true);
+  };
+  const ExecutorStats stats = RunDriver(GetParam(), cc, workload, 24, options);
+  EXPECT_TRUE(saw_done.load());
+  EXPECT_EQ(stats.committed + stats.failed + stats.crashed, 24u);
+}
+
+TEST_P(DriverContract, SimulatedFaultsKeepTheTallyExact) {
+  // The synthetic HDD mix under injected aborts, mid-transaction crashes
+  // and stalls: crashes must be counted once, like every other outcome,
+  // and the service task must see the shutdown flag from inside the
+  // schedule.
+  FaultInjectorConfig faults;
+  faults.abort_prob = 0.15;
+  faults.crash_prob = 0.05;
+  faults.stall_prob = 0.15;
+  std::uint64_t crashed = 0;
+  std::uint64_t completed_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SimScheduler::Options sopts;
+    sopts.seed = seed;
+    sopts.faults = faults;
+    SimScheduler sched(sopts);
+    SyntheticWorkloadParams params;
+    params.depth = 3;
+    params.granules_per_segment = 3;
+    params.read_only_fraction = 0.3;
+    SyntheticWorkload workload(params);
+    Result<HierarchySchema> schema = HierarchySchema::Create(workload.Spec());
+    ASSERT_TRUE(schema.ok()) << schema.status();
+    auto db = workload.MakeDatabase();
+    SimClock clock(&sched);
+    HddController cc(db.get(), &clock, &*schema);
+
+    constexpr std::uint64_t kPrograms = 9;
+    ExecutorOptions options;
+    options.num_threads = 3;
+    options.max_retries = 50;
+    options.seed = 77;
+    options.sim = &sched;
+    Completions seen;
+    seen.Wire(options);
+    bool saw_done = false;
+    options.service = [&](const std::atomic<bool>& workers_done) {
+      while (!workers_done.load()) SimYield("test/service", false);
+      saw_done = true;
+    };
+    const ExecutorStats stats =
+        RunDriver(GetParam(), cc, workload, kPrograms, options);
+    if (sched.halted()) continue;  // a deadlock finding is the sim's report
+    ++completed_runs;
+    EXPECT_TRUE(saw_done) << "seed " << seed;
+    EXPECT_EQ(stats.committed + stats.failed + stats.crashed, kPrograms)
+        << "seed " << seed;
+    ExpectRowsSumToTotals(stats);
+    seen.ExpectEachOnce(kPrograms);
+    crashed += stats.crashed;
+  }
+  EXPECT_GT(completed_runs, 10u);
+  EXPECT_GT(crashed, 0u) << "no injected crash reached the tally";
+}
+
+INSTANTIATE_TEST_SUITE_P(Drivers, DriverContract,
+                         ::testing::Values(Driver::kPerTxn, Driver::kEpoch),
+                         DriverName);
 
 }  // namespace
 }  // namespace hdd

@@ -8,10 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "net/frame.h"
 #include "net/protocol.h"
-#include "wal/log_format.h"
 
 namespace hdd {
 namespace {

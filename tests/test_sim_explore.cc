@@ -36,6 +36,7 @@
 
 #include "cc/mvto.h"
 #include "cc/two_phase_locking.h"
+#include "dist/dist_world.h"
 #include "engine/epoch_executor.h"
 #include "engine/executor.h"
 #include "engine/redecompose.h"
@@ -213,27 +214,6 @@ TEST(SimExplore, TwoPhaseSeedSweepPassesOracle) {
       BaselineWorkload<TwoPhaseLocking, TwoPhaseLockingOptions>(shape, {}),
       "ctest -R test_sim_explore");
   ExpectSweepClean(report, "2pl");
-}
-
-// ---------------------------------------------------------------------------
-// Replay: the same options must reproduce the identical trace, choices and
-// verdict; a different seed must schedule differently.
-TEST(SimExplore, DeterministicReplay) {
-  SimScheduler::Options options;
-  options.faults = SweepFaults();
-  options.seed = 42;
-  const SimWorkloadFn fn = HddWorkload(HddShape());
-  const SimRunReport a = RunSimulation(options, fn);
-  const SimRunReport b = RunSimulation(options, fn);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.choices, b.choices);
-  EXPECT_EQ(a.failure, b.failure);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  ASSERT_FALSE(a.trace.empty());
-
-  options.seed = 43;
-  const SimRunReport c = RunSimulation(options, fn);
-  EXPECT_NE(a.trace, c.trace);
 }
 
 // ---------------------------------------------------------------------------
@@ -921,6 +901,74 @@ TEST(SimExplore, RedecompCanaryMutationIsCaught) {
   std::cout << "redecomp canary: " << counters.canary_catches.load()
             << " catches, 0 escapes over " << report.runs << " seeds"
             << std::endl;
+}
+
+// ---------------------------------------------------------------------------
+// Replay: the same options must reproduce the identical trace, choices and
+// verdict; a different seed must schedule differently. Checked for every
+// driver the shared task launcher starts: the per-txn executor, the epoch
+// executor, a run with a service task (the Redecomposer's poll loop), and
+// a DistWorld cluster whose message pumps are sim tasks as well.
+
+// Two shard nodes under message faults (delays, reorders, duplicates),
+// with one owner override so the two-phase commit path runs too.
+SimWorkloadFn DistReplayRun() {
+  return [](SimScheduler& sched) -> std::string {
+    DistWorldOptions options;
+    options.granules_per_segment = 2;
+    options.owner_overrides = {{SegmentId{3}, 0}};
+    options.txns_per_node = 4;
+    options.transport.delay_prob = 0.25;
+    options.transport.reorder_prob = 0.25;
+    options.transport.duplicate_prob = 0.15;
+    options.transport.seed = sched.seed() * 0x9E3779B97F4A7C15ULL + 0xD1D5;
+    options.workload_seed = sched.seed() * 31 + 7;
+    DistWorld world(options, &sched);
+    if (!world.init_error().empty()) return world.init_error();
+    const std::string run = world.RunWorkload();
+    if (sched.halted()) return "";
+    if (!run.empty()) return run;
+    return world.CheckHistory();
+  };
+}
+
+TEST(SimExplore, DeterministicReplay) {
+  RedecomposerOptions ropts;
+  ropts.window_txns = 6;
+  ropts.drift_threshold = 0.3;
+  RedecompCounters counters;
+  // Per-attempt crashes stay off for the cluster: a crashed coordinator
+  // leaves prepared residue that reads as a deadlock (see test_dist_sim).
+  FaultInjectorConfig dist_faults = SweepFaults();
+  dist_faults.crash_prob = 0.0;
+  const struct {
+    const char* label;
+    FaultInjectorConfig faults;
+    SimWorkloadFn fn;
+  } runs[] = {
+      {"per-txn", SweepFaults(), HddWorkload(HddShape())},
+      {"epoch", SweepFaults(), HddEpochWorkload(HddShape(), /*epoch_size=*/4)},
+      {"service", SweepFaults(), RedecompDriftRun(14, ropts, &counters)},
+      {"dist", dist_faults, DistReplayRun()},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.label);
+    SimScheduler::Options options;
+    options.faults = run.faults;
+    options.seed = 42;
+    const SimRunReport a = RunSimulation(options, run.fn);
+    const SimRunReport b = RunSimulation(options, run.fn);
+    EXPECT_EQ(a.trace, b.trace);
+    EXPECT_EQ(a.choices, b.choices);
+    EXPECT_EQ(a.failure, b.failure);
+    EXPECT_EQ(a.failure, "");
+    EXPECT_EQ(a.faults_injected, b.faults_injected);
+    ASSERT_FALSE(a.trace.empty());
+
+    options.seed = 43;
+    const SimRunReport c = RunSimulation(options, run.fn);
+    EXPECT_NE(a.trace, c.trace);
+  }
 }
 
 // Drift + durability: the same drift runs on a WAL with whole-process

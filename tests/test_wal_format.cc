@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "storage/database.h"
 #include "wal/checkpoint.h"
