@@ -1005,59 +1005,13 @@ Status HddController::Commit(const TxnDescriptor& txn) {
   FlushOpMetrics(*runtime);
   std::uint64_t commit_ticket = 0;
   if (!runtime->descriptor.read_only) {
-    // Raw pointer: only used while the gate is held (shared), and this
-    // path never sleeps on the shard.
-    ClassShard* shard = shards_[runtime->descriptor.txn_class].get();
-    // Distinct segments this transaction wrote (one — its root segment —
-    // unless a Restructure merged its class). Each gets a copy of the
-    // commit record carrying the full list; recovery commits only when
-    // every copy survived. Only the WAL consumes the list, so skip the
-    // allocation entirely when none is attached.
-    std::vector<SegmentId> written_segments;
-    if (wal_ != nullptr) {
-      for (GranuleRef granule : runtime->writes) {
-        if (std::find(written_segments.begin(), written_segments.end(),
-                      granule.segment) == written_segments.end()) {
-          written_segments.push_back(granule.segment);
-        }
-      }
-    }
     // Past the point of no return (the runtime is extracted), so this
     // site may stall — the injector's "delayed commit", which leaves the
     // uncommitted versions visible to waiting readers for a while — but
     // never unwind.
     SimYield("hdd/commit/install", /*interruptible=*/false);
-    Status logged = Status::OK();
-    {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      for (GranuleRef granule : runtime->writes) {
-        Version* version =
-            db_->granule(granule).Find(runtime->descriptor.init_ts);
-        assert(version != nullptr);
-        version->committed = true;
-      }
-      if (wal_ != nullptr) {
-        // Commit records append in the SAME critical section that marks
-        // the versions committed: a Protocol B read served one of these
-        // versions therefore happens-after the append, so its own commit
-        // ticket is higher and any sync batch acking the reader covers
-        // this record too (the WaitDurable below never races it).
-        for (const SegmentId s : written_segments) {
-          auto ticket = wal_->LogCommit(s, runtime->descriptor.id,
-                                        runtime->descriptor.init_ts,
-                                        written_segments);
-          if (!ticket.ok()) {
-            logged = ticket.status();
-            break;
-          }
-          commit_ticket = *ticket;
-        }
-      }
-      shard->table.OnFinish(runtime->descriptor.init_ts, clock_->Tick());
-    }
-    SimNotifyAll(shard->cv, shard);
-    SignalFinishEvent();
-    HDD_RETURN_IF_ERROR(logged);
+    HDD_ASSIGN_OR_RETURN(commit_ticket,
+                         InstallCommit(*runtime, /*finish=*/true));
   } else if (wal_ != nullptr) {
     // Read-only commit: persist a clock marker (recovery must never
     // rewind below this reader's wall bound) and ride the same group
@@ -1065,28 +1019,89 @@ Status HddController::Commit(const TxnDescriptor& txn) {
     // acked query results crash-proof.
     HDD_ASSIGN_OR_RETURN(commit_ticket, wal_->LogReadBound(clock_->Now()));
   }
-  if (wal_ != nullptr && commit_ticket != 0) {
-    // The durability wait sleeps in the group-commit gate; release the
-    // structure gate first (never sleep holding it) and drop no latches'
-    // worth of state — everything below re-reads nothing structural.
-    const bool had_gate = gate.owns_lock();
-    if (had_gate) gate.unlock();
-    const Status durable = wal_->WaitDurable(commit_ticket);
-    if (had_gate) gate.lock();
-    HDD_RETURN_IF_ERROR(durable);
+  HDD_RETURN_IF_ERROR(AwaitDurable(gate, commit_ticket));
+  FinishTxn(*runtime, TxnState::kCommitted);
+  return Status::OK();
+}
+
+Result<std::uint64_t> HddController::InstallCommit(const TxnRuntime& runtime,
+                                                  bool finish) {
+  const TxnDescriptor& txn = runtime.descriptor;
+  // Raw pointer: only used while the gate is held (shared), and this
+  // path never sleeps on the shard.
+  ClassShard* shard = shards_[txn.txn_class].get();
+  // Each written segment (one — the root segment — unless a Restructure
+  // merged the class) gets a copy of the commit record carrying the full
+  // list; recovery commits only when every copy survived.
+  const std::vector<SegmentId> segments =
+      wal_ != nullptr ? DistinctSegments(runtime.writes)
+                      : std::vector<SegmentId>{};
+  std::uint64_t ticket = 0;
+  Status logged = Status::OK();
+  {
+    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    for (GranuleRef granule : runtime.writes) {
+      Version* version = db_->granule(granule).Find(txn.init_ts);
+      assert(version != nullptr);
+      version->committed = true;
+    }
+    // Commit records append in the SAME critical section that marks the
+    // versions committed: a Protocol B read served one of these versions
+    // therefore happens-after the append, so its own commit ticket is
+    // higher and any sync batch acking the reader covers this record too.
+    for (const SegmentId s : segments) {
+      auto appended = wal_->LogCommit(s, txn.id, txn.init_ts, segments);
+      if (!appended.ok()) {
+        logged = appended.status();
+        break;
+      }
+      ticket = *appended;
+    }
+    if (finish) shard->table.OnFinish(txn.init_ts, clock_->Tick());
   }
-  if (runtime->wall != nullptr) {
+  SimNotifyAll(shard->cv, shard);
+  if (finish) SignalFinishEvent();
+  HDD_RETURN_IF_ERROR(logged);
+  return ticket;
+}
+
+Status HddController::AwaitDurable(std::shared_lock<std::shared_mutex>& gate,
+                                   std::uint64_t ticket) {
+  if (wal_ == nullptr || ticket == 0) return Status::OK();
+  // The durability wait sleeps in the group-commit gate: never sleep
+  // holding the structure gate.
+  const bool had_gate = gate.owns_lock();
+  if (had_gate) gate.unlock();
+  const Status durable = wal_->WaitDurable(ticket);
+  if (had_gate) gate.lock();
+  return durable;
+}
+
+void HddController::FinishTxn(const TxnRuntime& runtime, TxnState outcome) {
+  if (runtime.wall != nullptr) {
     std::lock_guard<std::mutex> wg(wall_mu_);
-    auto it = wall_pins_.find(runtime->wall);
+    auto it = wall_pins_.find(runtime.wall);
     assert(it != wall_pins_.end());
     if (--it->second == 0) wall_pins_.erase(it);
   }
-  if (options_.footprint != nullptr) PublishFootprint(*runtime);
-  recorder_.RecordOutcome(txn.id, TxnState::kCommitted);
-  metrics_.commits.Add(1);
+  const bool committed = outcome == TxnState::kCommitted;
+  if (committed && options_.footprint != nullptr) PublishFootprint(runtime);
+  recorder_.RecordOutcome(runtime.descriptor.id, outcome);
+  (committed ? metrics_.commits : metrics_.aborts).Add(1);
   active_txns_.fetch_sub(1);
   MaybeTrimHistory();
-  return Status::OK();
+}
+
+std::vector<SegmentId> HddController::DistinctSegments(
+    const std::vector<GranuleRef>& granules) {
+  std::vector<SegmentId> segments;
+  for (GranuleRef granule : granules) {
+    if (std::find(segments.begin(), segments.end(), granule.segment) ==
+        segments.end()) {
+      segments.push_back(granule.segment);
+    }
+  }
+  return segments;
 }
 
 Status HddController::Abort(const TxnDescriptor& txn) {
@@ -1105,23 +1120,18 @@ Status HddController::Abort(const TxnDescriptor& txn) {
     SimYield("hdd/abort/undo", /*interruptible=*/false);
     {
       std::lock_guard<std::mutex> shard_lock(shard->mu);
-      std::vector<SegmentId> undone_segments;
       for (GranuleRef granule : runtime->writes) {
         Status removed =
             db_->granule(granule).Remove(runtime->descriptor.init_ts);
         assert(removed.ok());
         (void)removed;
-        if (std::find(undone_segments.begin(), undone_segments.end(),
-                      granule.segment) == undone_segments.end()) {
-          undone_segments.push_back(granule.segment);
-        }
       }
       if (wal_ != nullptr) {
         // Abort records are replay hygiene, not a durability promise: a
         // lost copy just means recovery discards the uncommitted versions
         // itself. Hence no sync and a best-effort append (an IoError here
         // must not fail the abort — the in-memory undo already happened).
-        for (const SegmentId s : undone_segments) {
+        for (const SegmentId s : DistinctSegments(runtime->writes)) {
           (void)wal_->LogAbort(s, runtime->descriptor.id,
                                runtime->descriptor.init_ts);
         }
@@ -1131,16 +1141,7 @@ Status HddController::Abort(const TxnDescriptor& txn) {
     SimNotifyAll(shard->cv, shard);
     SignalFinishEvent();
   }
-  if (runtime->wall != nullptr) {
-    std::lock_guard<std::mutex> wg(wall_mu_);
-    auto it = wall_pins_.find(runtime->wall);
-    assert(it != wall_pins_.end());
-    if (--it->second == 0) wall_pins_.erase(it);
-  }
-  recorder_.RecordOutcome(txn.id, TxnState::kAborted);
-  metrics_.aborts.Add(1);
-  active_txns_.fetch_sub(1);
-  MaybeTrimHistory();
+  FinishTxn(*runtime, TxnState::kAborted);
   return Status::OK();
 }
 
@@ -1695,16 +1696,9 @@ Status HddController::PrepareExternal(
                            wal_->LogPrepare(segment, txn, init_ts));
     }
   }
-  if (wal_ != nullptr) {
-    // Ack only once the shipped writes and the marker are on disk: the
-    // coordinator's commit decision assumes this node can redo them.
-    const bool had_gate = gate.owns_lock();
-    if (had_gate) gate.unlock();
-    const Status durable = wal_->WaitDurable(prepare_ticket);
-    if (had_gate) gate.lock();
-    HDD_RETURN_IF_ERROR(durable);
-  }
-  return Status::OK();
+  // Ack only once the shipped writes and the marker are on disk: the
+  // coordinator's commit decision assumes this node can redo them.
+  return AwaitDurable(gate, prepare_ticket);
 }
 
 Status HddController::CommitExternal(SegmentId segment, TxnId txn,
@@ -1731,14 +1725,7 @@ Status HddController::CommitExternal(SegmentId segment, TxnId txn,
     }
   }
   SimNotifyAll(shard->cv, shard);
-  if (wal_ != nullptr) {
-    const bool had_gate = gate.owns_lock();
-    if (had_gate) gate.unlock();
-    const Status durable = wal_->WaitDurable(commit_ticket);
-    if (had_gate) gate.lock();
-    HDD_RETURN_IF_ERROR(durable);
-  }
-  return Status::OK();
+  return AwaitDurable(gate, commit_ticket);
 }
 
 Status HddController::AbortExternal(SegmentId segment, TxnId txn,
@@ -1782,47 +1769,9 @@ Status HddController::CommitDurablePhase(const TxnDescriptor& txn) {
     return Status::InvalidArgument(
         "distributed commit is for update transactions");
   }
-  ClassShard* shard = shards_[runtime->descriptor.txn_class].get();
-  std::vector<SegmentId> written_segments;
-  for (GranuleRef granule : runtime->writes) {
-    if (std::find(written_segments.begin(), written_segments.end(),
-                  granule.segment) == written_segments.end()) {
-      written_segments.push_back(granule.segment);
-    }
-  }
-  std::uint64_t commit_ticket = 0;
-  Status logged = Status::OK();
-  {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    for (GranuleRef granule : runtime->writes) {
-      Version* version =
-          db_->granule(granule).Find(runtime->descriptor.init_ts);
-      assert(version != nullptr);
-      version->committed = true;
-    }
-    if (wal_ != nullptr) {
-      for (const SegmentId s : written_segments) {
-        auto ticket = wal_->LogCommit(s, runtime->descriptor.id,
-                                      runtime->descriptor.init_ts,
-                                      written_segments);
-        if (!ticket.ok()) {
-          logged = ticket.status();
-          break;
-        }
-        commit_ticket = *ticket;
-      }
-    }
-  }
-  SimNotifyAll(shard->cv, shard);
-  HDD_RETURN_IF_ERROR(logged);
-  if (wal_ != nullptr && commit_ticket != 0) {
-    const bool had_gate = gate.owns_lock();
-    if (had_gate) gate.unlock();
-    const Status durable = wal_->WaitDurable(commit_ticket);
-    if (had_gate) gate.lock();
-    HDD_RETURN_IF_ERROR(durable);
-  }
-  return Status::OK();
+  HDD_ASSIGN_OR_RETURN(const std::uint64_t commit_ticket,
+                       InstallCommit(*runtime, /*finish=*/false));
+  return AwaitDurable(gate, commit_ticket);
 }
 
 Status HddController::FinishDistributedCommit(const TxnDescriptor& txn) {
@@ -1842,11 +1791,7 @@ Status HddController::FinishDistributedCommit(const TxnDescriptor& txn) {
   }
   SimNotifyAll(shard->cv, shard);
   SignalFinishEvent();
-  if (options_.footprint != nullptr) PublishFootprint(*runtime);
-  recorder_.RecordOutcome(txn.id, TxnState::kCommitted);
-  metrics_.commits.Add(1);
-  active_txns_.fetch_sub(1);
-  MaybeTrimHistory();
+  FinishTxn(*runtime, TxnState::kCommitted);
   return Status::OK();
 }
 

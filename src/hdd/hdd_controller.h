@@ -402,6 +402,27 @@ class HddController : public ConcurrencyController {
   /// attached FootprintRecorder (caller checked options_.footprint).
   void PublishFootprint(const TxnRuntime& runtime);
 
+  /// The one commit install of an update transaction: marks its versions
+  /// committed and appends its commit records in ONE critical section of
+  /// its class shard and, with `finish`, ends it in the activity table in
+  /// that same section (a local Commit; the 2PC coordinator leaves it
+  /// active until FinishDistributedCommit). Returns the last commit
+  /// ticket, 0 without a WAL. Caller holds the structure gate (shared).
+  Result<std::uint64_t> InstallCommit(const TxnRuntime& runtime, bool finish);
+  /// Waits until `ticket` is durable (no-op for ticket 0 or without a
+  /// WAL), with the structure gate released across the wait.
+  Status AwaitDurable(std::shared_lock<std::shared_mutex>& gate,
+                      std::uint64_t ticket);
+  /// The one finish step of Commit, Abort and FinishDistributedCommit,
+  /// after the runtime left the activity table: releases its reader
+  /// registration, publishes the footprint of a commit, records the
+  /// outcome, bumps the counters and the active count, and tries the
+  /// idle trim.
+  void FinishTxn(const TxnRuntime& runtime, TxnState outcome);
+  /// Distinct segments among `granules`, in first-seen order.
+  static std::vector<SegmentId> DistinctSegments(
+      const std::vector<GranuleRef>& granules);
+
   /// Validates a read_scope declaration and returns the lowest class of
   /// the critical path it spans, or an error. Caller holds the structure
   /// gate.
