@@ -44,7 +44,7 @@ void Run() {
       if (cadence != 0) {
         (void)cc.ReleaseNewWall();  // unpin old walls before collecting
         const auto t0 = std::chrono::steady_clock::now();
-        pruned += db->CollectGarbage(cc.SafeGcHorizon());
+        pruned += cc.CollectGarbage();
         const auto t1 = std::chrono::steady_clock::now();
         gc_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
         ++passes;

@@ -216,60 +216,42 @@ void DistSession::CommitRemotes(const TxnDescriptor& txn,
 DistTxnResult DistSession::Run(const DistProgram& program, int max_retries,
                                SimScheduler* sim) {
   DistTxnResult result;
-  const TstAnalysis& tst = cc_->class_tst();
 
   // Placement + path selection, fixed across attempts.
   bool local_plain = false;
   ClassId host = kReadOnlyClass;
-  TxnOptions begin_options = program.options;
   if (!program.options.read_only) {
     if (map_->home(program.options.txn_class) != node_id_) {
       result.failed = true;  // misrouted: update txns run at their home
       return result;
     }
   } else {
+    // Time walls are node-local consistent cuts; a cross-shard wall read
+    // would be unsound, so ad-hoc unscoped RO is not offered. The scope is
+    // validated, and its §5.0 host class found, before any shard-map
+    // lookup: a wild segment id would index the map out of bounds.
     const std::vector<SegmentId>& scope = program.options.read_scope;
-    if (scope.empty()) {
-      // Time walls are node-local consistent cuts; a cross-shard wall
-      // read would be unsound, so ad-hoc unscoped RO is not offered.
+    const Result<ClassId> resolved = cc_->ResolveHostClass(scope);
+    if (!resolved.ok()) {
       result.failed = true;
       return result;
     }
-    local_plain = true;
+    local_plain = !options_.mutation_stale_bound_snapshot;
     for (const SegmentId s : scope) {
       const ClassId c = cc_->ClassOfSegment(s);
       if (map_->home(c) != node_id_ || map_->owner(s) != node_id_) {
         local_plain = false;
       }
     }
-    if (options_.mutation_stale_bound_snapshot) local_plain = false;
-    if (!local_plain) {
-      // Resolve the host class ourselves (the §5.0 rule: the unique
-      // scope class every other scope class is higher than) and begin an
-      // UNSCOPED read-only transaction: the local controller would
-      // otherwise host it against stand-in activity tables.
-      begin_options.read_scope.clear();
-      for (const SegmentId cand : scope) {
-        const ClassId c = cc_->ClassOfSegment(cand);
-        bool hosts_all = true;
-        for (const SegmentId other : scope) {
-          const ClassId o = cc_->ClassOfSegment(other);
-          if (o != c && !tst.Higher(o, c)) hosts_all = false;
-        }
-        if (hosts_all) {
-          host = c;
-          break;
-        }
-      }
-      if (host == kReadOnlyClass) {
-        result.failed = true;  // scope spans no single critical-path fan
-        return result;
-      }
-    }
+    // On the bounded path the local controller still hosts the
+    // transaction — its I(t) is a registered reader stab — but the reads
+    // go through this session against the live tables of each class's
+    // home.
+    if (!local_plain) host = *resolved;
   }
 
   static_cast<ProgramResult&>(result) = RunWithRetries(
-      *cc_, begin_options, max_retries, sim, [&](const TxnDescriptor& txn) {
+      *cc_, program.options, max_retries, sim, [&](const TxnDescriptor& txn) {
         AttemptState state(DistLinkEvaluator(node_id_, map_, transport_, cc_));
         state.host = host;
         const AttemptOutcome outcome =

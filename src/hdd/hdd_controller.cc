@@ -48,6 +48,13 @@ struct CachedTxnLookup {
 };
 thread_local CachedTxnLookup t_txn_lookup;
 
+// A read-only transaction's bound selects no version: a collection passed
+// a live reader. Fail the read instead of serving a wrong cut.
+Status CollectedBelowBound() {
+  return Status::Internal(
+      "no version below the read bound: collected past a live reader");
+}
+
 }  // namespace
 
 Timestamp HddController::ShardTableSource::OldestActiveAt(ClassId c,
@@ -174,32 +181,23 @@ Result<TxnDescriptor> HddController::Begin(const TxnOptions& options) {
       runtime.descriptor.txn_class = kReadOnlyClass;
       if (!options.read_scope.empty()) {
         HDD_ASSIGN_OR_RETURN(runtime.hosted_below,
-                             ResolveHostClass(options.read_scope));
-      }
-      if (options.as_of_wall >= 0) {
-        if (runtime.hosted_below != kReadOnlyClass) {
+                             ResolveHostClassLocked(options.read_scope));
+        if (options.as_of_wall >= 0) {
           return Status::InvalidArgument(
               "as_of_wall cannot combine with a hosted read scope");
         }
-        std::lock_guard<std::mutex> wg(wall_mu_);
-        if (static_cast<std::size_t>(options.as_of_wall) >= walls_.size()) {
-          return Status::InvalidArgument("no such time wall");
-        }
-        const TimeWall& wall = walls_[options.as_of_wall];
-        for (Timestamp bound : wall.bound) {
-          if (bound < last_gc_horizon_) {
-            return Status::FailedPrecondition(
-                "time wall predates the garbage-collection horizon; its "
-                "versions may be gone");
-          }
-        }
-        // Pin in the same critical section that validated the horizon, so
-        // a concurrent collection cannot slip past the wall in between.
-        ++wall_pins_[&wall];
-        runtime.wall = &wall;
+        // Hosted (§5.0): every read evaluates the link functions at I(t),
+        // and no class table shows this transaction — I(t) is a stab in
+        // the reader registry until the finish step.
+        active_txns_.fetch_add(1);
+        runtime.descriptor.init_ts = RegisterStab();
+      } else {
+        // Protocol C: the whole transaction reads under the one wall it
+        // pins here, so it sees one consistent cut.
+        HDD_ASSIGN_OR_RETURN(runtime.wall, PinWall(gate, options.as_of_wall));
+        active_txns_.fetch_add(1);
+        runtime.descriptor.init_ts = clock_->Tick();
       }
-      active_txns_.fetch_add(1);
-      runtime.descriptor.init_ts = clock_->Tick();
     } else {
       if (options.txn_class < 0 || options.txn_class >= num_classes_) {
         return Status::InvalidArgument(
@@ -256,8 +254,10 @@ Result<EpochHandle> HddController::BeginEpoch() {
   // Tick the anchor BEFORE any batch transaction begins: every batch
   // I(t) then exceeds m_e, so a shared bound A_i^j(m_e) <= m_e is below
   // every reader's initiation time — what the oracle's bound replay
-  // demands of update-transaction reads.
-  ctx->anchor = clock_->Tick();
+  // demands of update-transaction reads. The epoch's bounds are evaluated
+  // at m_e, below every batch I(t), so m_e is a registered stab until
+  // EndEpoch.
+  ctx->anchor = RegisterStab();
   {
     std::lock_guard<std::mutex> eg(epoch_mu_);
     // Epoch transactions bypass the per-op structure gate, so an epoch
@@ -265,6 +265,7 @@ Result<EpochHandle> HddController::BeginEpoch() {
     // exclusion (this check and Restructure's current_epoch_ check)
     // decide under epoch_mu_, so exactly one of a racing pair proceeds.
     if (restructuring_) {
+      UnregisterStab(ctx->anchor);
       return Status::Busy("restructure in progress; cannot open an epoch");
     }
     current_epoch_ = ctx;
@@ -408,6 +409,7 @@ Result<std::vector<TxnDescriptor>> HddController::BeginBatch(
 Status HddController::EndEpoch(const EpochHandle& epoch) {
   std::lock_guard<std::mutex> eg(epoch_mu_);
   if (current_epoch_ != nullptr && current_epoch_->id == epoch.id) {
+    UnregisterStab(current_epoch_->anchor);
     current_epoch_.reset();
     metrics_.epochs.Add(1);
     HDD_TRACE_INSTANT("hdd", "epoch_end");
@@ -448,7 +450,13 @@ Result<Timestamp> HddController::EpochBound(EpochContext& ctx,
 }
 
 Result<ClassId> HddController::ResolveHostClass(
-    const std::vector<SegmentId>& scope) {
+    const std::vector<SegmentId>& scope) const {
+  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  return ResolveHostClassLocked(scope);
+}
+
+Result<ClassId> HddController::ResolveHostClassLocked(
+    const std::vector<SegmentId>& scope) const {
   if (scope.empty()) {
     return Status::InvalidArgument("empty read scope");
   }
@@ -674,7 +682,7 @@ Result<Value> HddController::ReadHosted(TxnRuntime* runtime,
   std::lock_guard<std::mutex> shard_lock(shard->mu);
   Granule& g = db_->granule(granule);
   const Version* version = g.LatestCommittedBefore(*bound);
-  assert(version != nullptr);
+  if (version == nullptr) return CollectedBelowBound();
   assert(g.VersionBefore(*bound) != nullptr &&
          g.VersionBefore(*bound)->wts == version->wts);
   ++runtime->n_unregistered_reads;
@@ -744,30 +752,9 @@ Result<Value> HddController::ReadOwnSegment(
 Result<Value> HddController::ReadUnderWall(
     std::shared_lock<std::shared_mutex>& gate, TxnRuntime* runtime,
     GranuleRef granule) {
-  // Protocol C: pin the wall on first read so the whole transaction sees
-  // one consistent cut.
+  // Protocol C: every read is served under the wall pinned at Begin.
   HDD_TRACE_SPAN("hdd", "protocol_c_read");
   SimYield("hdd/read_c");
-  if (runtime->wall == nullptr) {
-    {
-      std::lock_guard<std::mutex> wg(wall_mu_);
-      for (auto it = walls_.rbegin(); it != walls_.rend(); ++it) {
-        if (it->release_time < runtime->descriptor.init_ts) {
-          runtime->wall = &*it;
-          ++wall_pins_[&*it];
-          break;
-        }
-      }
-    }
-    if (runtime->wall == nullptr) {
-      // No wall released before we started: release one now and use it —
-      // still a consistent cut by Theorem 2, just fresher than the paper's
-      // batched variant. ReleaseWallInternal pins it for us atomically
-      // with publication.
-      auto released = ReleaseWallInternal(gate, runtime);
-      if (!released.ok()) return released.status();
-    }
-  }
   const TimeWall* wall = runtime->wall;
   bool waited = false;
   for (;;) {
@@ -781,7 +768,7 @@ Result<Value> HddController::ReadUnderWall(
     std::unique_lock<std::mutex> shard_lock(shard->mu);
     Granule& g = db_->granule(granule);
     Version* version = g.VersionBefore(bound);
-    assert(version != nullptr);
+    if (version == nullptr) return CollectedBelowBound();
     if (!version->committed) {
       // A below-wall version is still in flight (possible only for classes
       // the wall reaches through a descending run); its fate decides what
@@ -804,20 +791,21 @@ Result<Value> HddController::ReadUnderWall(
   }
 }
 
-Result<const TimeWall*> HddController::ReleaseWallInternal(
-    std::shared_lock<std::shared_mutex>& gate, TxnRuntime* pin_for) {
-  // While a computation is mid-retry the idle trim stands down, so the
-  // finished straddlers its C^late queries may stab stay available.
-  struct ComputeGuard {
-    std::atomic<int>& count;
-    explicit ComputeGuard(std::atomic<int>& c) : count(c) { count.fetch_add(1); }
-    ~ComputeGuard() { count.fetch_sub(1); }
-  } compute_guard(wall_computing_);
-
+Status HddController::ReleaseWallInternal(
+    std::shared_lock<std::shared_mutex>& gate) {
   // Covers every retry: the span's duration is the full time-to-release,
   // including waits for straggling C^late components.
   HDD_TRACE_SPAN("hdd", "wall_compute");
-  Timestamp m = clock_->Tick();
+  // The anchor m is a reader stab for the whole computation, which may
+  // wait for finish events long after nothing older than m is active:
+  // registered, it keeps every collection below the closure of m — and
+  // every component the wall will name lies at or above that closure.
+  // Unregistered on every exit, a SimFault unwinding included.
+  struct AnchorStab {
+    HddController* cc;
+    Timestamp m;
+    ~AnchorStab() { cc->UnregisterStab(m); }
+  } anchor{this, RegisterStab()};
   // While an epoch is open, anchor the wall at or below the epoch anchor
   // m_e instead of the current clock. Batch transactions initiate above
   // m_e but may sit in the executor's ready queue unexecuted, so a wall
@@ -826,11 +814,19 @@ Result<const TimeWall*> HddController::ReleaseWallInternal(
   // batch neither straddles any stabbed time nor unsettles a component,
   // so the computation never waits on the epoch itself. Protocol C is
   // indifferent to the anchor's age — any released wall is a consistent
-  // cut (time travel reads strictly older walls on purpose).
+  // cut (time travel reads strictly older walls on purpose). m_e is
+  // registered while the epoch is open; re-register it here, under the
+  // epoch mutex, because this computation may outlive the epoch.
   {
     std::lock_guard<std::mutex> epoch_guard(epoch_mu_);
-    if (current_epoch_ != nullptr) m = std::min(m, current_epoch_->anchor);
+    if (current_epoch_ != nullptr && current_epoch_->anchor < anchor.m) {
+      std::lock_guard<std::mutex> wg(wall_mu_);
+      reader_stabs_.erase(reader_stabs_.find(anchor.m));
+      anchor.m = current_epoch_->anchor;
+      reader_stabs_.insert(anchor.m);
+    }
   }
+  const Timestamp m = anchor.m;
   for (;;) {
     SimYield("hdd/wall_compute");
     // Load the finish counter BEFORE attempting: a finish landing during
@@ -862,13 +858,9 @@ Result<const TimeWall*> HddController::ReleaseWallInternal(
         HDD_TRACE_INSTANT("hdd", "wall_release");
         wall->release_time = clock_->Tick();
         std::lock_guard<std::mutex> wg(wall_mu_);
+        assert(WallMin(*wall) >= last_gc_horizon_);
         walls_.push_back(*std::move(wall));
-        const TimeWall* released = &walls_.back();
-        if (pin_for != nullptr) {
-          pin_for->wall = released;
-          ++wall_pins_[released];
-        }
-        return released;
+        return Status::OK();
       }
     } else if (wall.status().code() != StatusCode::kBusy) {
       return wall.status();
@@ -889,7 +881,58 @@ Result<const TimeWall*> HddController::ReleaseWallInternal(
 
 Status HddController::ReleaseNewWall() {
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
-  return ReleaseWallInternal(gate, nullptr).status();
+  return ReleaseWallInternal(gate);
+}
+
+Result<const TimeWall*> HddController::PinWall(
+    std::shared_lock<std::shared_mutex>& gate, int as_of_wall) {
+  for (;;) {
+    {
+      // Validate and pin in ONE critical section, so a concurrent
+      // collection cannot slip past the wall in between.
+      std::lock_guard<std::mutex> wg(wall_mu_);
+      const TimeWall* wall = nullptr;
+      if (as_of_wall >= 0) {
+        if (static_cast<std::size_t>(as_of_wall) >= walls_.size()) {
+          return Status::InvalidArgument("no such time wall");
+        }
+        wall = &walls_[static_cast<std::size_t>(as_of_wall)];
+        if (WallMin(*wall) < last_gc_horizon_) {
+          return Status::FailedPrecondition(
+              "time wall predates the garbage-collection horizon; its "
+              "versions may be gone");
+        }
+      } else if (!walls_.empty()) {
+        wall = &walls_.back();  // the horizon never passes the newest wall
+      }
+      if (wall != nullptr) {
+        ++wall_pins_[wall];
+        return wall;
+      }
+    }
+    // No wall released yet: release one now and pin it — still a
+    // consistent cut by Theorem 2, just fresher than the paper's batched
+    // variant.
+    HDD_RETURN_IF_ERROR(ReleaseWallInternal(gate));
+  }
+}
+
+Timestamp HddController::RegisterStab() {
+  for (;;) {
+    const Timestamp stab = clock_->Tick();
+    std::lock_guard<std::mutex> wg(wall_mu_);
+    if (stab >= stab_floor_) {
+      reader_stabs_.insert(stab);
+      return stab;
+    }
+  }
+}
+
+void HddController::UnregisterStab(Timestamp stab) {
+  std::lock_guard<std::mutex> wg(wall_mu_);
+  const auto it = reader_stabs_.find(stab);
+  assert(it != reader_stabs_.end());
+  reader_stabs_.erase(it);
 }
 
 Status HddController::Write(const TxnDescriptor& txn, GranuleRef granule,
@@ -1083,6 +1126,8 @@ void HddController::FinishTxn(const TxnRuntime& runtime, TxnState outcome) {
     auto it = wall_pins_.find(runtime.wall);
     assert(it != wall_pins_.end());
     if (--it->second == 0) wall_pins_.erase(it);
+  } else if (runtime.hosted_below != kReadOnlyClass) {
+    UnregisterStab(runtime.descriptor.init_ts);
   }
   const bool committed = outcome == TxnState::kCommitted;
   if (committed && options_.footprint != nullptr) PublishFootprint(runtime);
@@ -1334,36 +1379,34 @@ Timestamp HddController::WallMin(const TimeWall& wall) {
 Timestamp HddController::SafeGcHorizon() const {
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
   std::lock_guard<std::mutex> wg(wall_mu_);
-  return ComputeSafeGcHorizon();
+  return ComputeSafeGcHorizon(clock_->Now());
 }
 
-Timestamp HddController::ComputeSafeGcHorizon() const {
-  Timestamp horizon = clock_->Now() + 1;
+Timestamp HddController::ComputeSafeGcHorizon(Timestamp now) const {
+  // The one rule. Every kind of reader, and the times it can still stab:
+  //  * update transactions: their I(t), in the class tables;
+  //  * hosted read-only transactions, in-flight wall computations and
+  //    the open epoch: their stab times, in the reader registry;
+  //  * Protocol C transactions: the walls they pinned, plus the newest
+  //    wall, which any Begin may still pin.
+  Timestamp horizon = now + 1;
   for (const std::shared_ptr<ClassShard>& shard : shards_) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     horizon = std::min(horizon, shard->table.OldestActiveNow());
   }
-  {
-    // An open epoch serves Protocol A reads at bounds anchored at the
-    // epoch anchor m_e, which lies BELOW every batch transaction's
-    // initiation time — the active-transaction minimum above does not
-    // cover them. Seed the fixpoint with the anchor; the closure below
-    // then under-approximates every shared bound the epoch can serve.
-    std::lock_guard<std::mutex> eg(epoch_mu_);
-    if (current_epoch_ != nullptr) {
-      horizon = std::min(horizon, current_epoch_->anchor);
-    }
+  if (!reader_stabs_.empty()) {
+    horizon = std::min(horizon, *reader_stabs_.begin());
   }
-  // Close the horizon under I^old. A Protocol A (or hosted) read serves
-  // at a composition of I^old values, and the transaction an I^old named
-  // may FINISH between the bound's evaluation and the serve: its init
-  // then survives only as a finished-straddler entry, invisible to
-  // OldestActiveNow. Pruning above such a bound would delete the very
-  // version the in-flight read is about to serve. OldestActiveAt is
-  // monotone in its argument, so the fixpoint below under-approximates
-  // every bound any active transaction can still be served — and the
-  // iteration only ever descends, through the finite set of initiation
-  // times, so it terminates.
+  // Close the horizon under I^old. A reader is served at a composition of
+  // I^old values of its stab time, and the transaction an I^old named may
+  // FINISH between the bound's evaluation and the serve: its init then
+  // survives only as a finished-straddler entry, invisible to
+  // OldestActiveNow. OldestActiveAt is monotone in its argument, so the
+  // fixpoint below under-approximates every bound any registered stab or
+  // active transaction can still be served, across every class (a
+  // Restructure merging a host class included) — and the iteration only
+  // ever descends, through the finite set of initiation times, so it
+  // terminates.
   for (;;) {
     Timestamp closed = horizon;
     for (const std::shared_ptr<ClassShard>& shard : shards_) {
@@ -1391,10 +1434,14 @@ std::size_t HddController::CollectGarbage() {
     // Fix the horizon and raise the AS-OF guard in one critical section:
     // a Begin pinning a wall validates against last_gc_horizon_ under the
     // same mutex, so it either pins before we compute (and the pin lowers
-    // the horizon) or observes the raised guard and is rejected.
+    // the horizon) or observes the raised guard and is rejected. A stab
+    // drawn at or before `now` but not registered yet is redrawn above
+    // the floor (RegisterStab).
     std::lock_guard<std::mutex> wg(wall_mu_);
-    horizon = ComputeSafeGcHorizon();
+    const Timestamp now = clock_->Now();
+    horizon = ComputeSafeGcHorizon(now);
     last_gc_horizon_ = std::max(last_gc_horizon_, horizon);
+    stab_floor_ = std::max(stab_floor_, now + 1);
   }
   // Prune segment by segment under the owning class's shard latch — the
   // latch every version-chain access in this controller takes. New
@@ -1579,7 +1626,13 @@ void HddController::MaybeTrimHistory() {
   // check ticked after our clock read, so its chains stay above `now`.
   const Timestamp now = clock_->Now();
   if (active_txns_.load() != 0) return;
-  if (wall_computing_.load() != 0) return;
+  {
+    // A registered stab may still evaluate link functions below `now`;
+    // one drawn but not yet registered is redrawn above the floor.
+    std::lock_guard<std::mutex> wg(wall_mu_);
+    if (!reader_stabs_.empty()) return;
+    stab_floor_ = std::max(stab_floor_, now + 1);
+  }
   for (const std::shared_ptr<ClassShard>& shard : shards_) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     shard->table.TrimFinishedBefore(now);

@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -106,12 +107,24 @@ struct HddControllerOptions {
 ///    under the epoch mutex, so the structure is frozen while an epoch
 ///    is open (each returns Busy while the other is in progress). No
 ///    thread ever sleeps on a condition variable while holding the gate.
-///  * Released time walls, wall pin counts and the GC horizon live under
-///    a dedicated wall mutex; the transaction registry is striped.
+///  * Released time walls, wall pin counts, the reader registry and the
+///    GC horizon live under a dedicated wall mutex; the transaction
+///    registry is striped.
 ///
-/// Latch order: structure gate (shared) -> { txn stripe | wall mutex ->
-/// class shard }. Data paths hold at most one class shard at a time;
-/// only Restructure (itself serialized) touches several.
+/// Latch order: structure gate (shared) -> { txn stripe | epoch mutex ->
+/// wall mutex -> class shard }. Data paths hold at most one class shard
+/// at a time; only Restructure (itself serialized) touches several.
+///
+/// ## Read horizon (§7.3)
+///
+/// A version may go once no reader can still ask for it. The readers are
+/// update transactions (their class tables), Protocol C transactions
+/// (the wall each pinned at Begin) and everything else that evaluates the
+/// link functions at a time no class table shows: a hosted read-only
+/// transaction's I(t), an in-flight wall computation's anchor and the
+/// open epoch's anchor. Those stab times live in one registry;
+/// ComputeSafeGcHorizon is the one place that folds every kind of reader
+/// into the horizon.
 ///
 /// Drivers follow the usual controller contract: each in-flight
 /// transaction is driven by one thread at a time (concurrent calls for
@@ -153,8 +166,8 @@ class HddController : public ConcurrencyController {
   ClassId ClassOfSegment(SegmentId segment) const;
 
   /// Forces release of a fresh time wall anchored per PickWallAnchor at
-  /// m = now. Blocks until computable. Also called lazily by the first
-  /// read-only transaction that finds no released wall.
+  /// m = now. Blocks until computable. Also called by a Protocol C Begin
+  /// that finds no released wall.
   Status ReleaseNewWall();
 
   /// §5.2's batched operation: starts a background pacer that releases a
@@ -190,16 +203,24 @@ class HddController : public ConcurrencyController {
       const std::vector<SegmentId>& write_segments,
       const std::vector<SegmentId>& read_segments) const;
 
+  /// Validates a read_scope declaration (§5.0) and returns the class a
+  /// hosted read-only transaction over it is hosted below: the lowest
+  /// class of the critical path the scope spans. InvalidArgument for an
+  /// empty scope, a segment out of range, or a scope no single critical
+  /// path reaches. Takes the structure gate shared.
+  Result<ClassId> ResolveHostClass(const std::vector<SegmentId>& scope) const;
+
   /// A version-GC horizon currently safe for garbage collection: below
-  /// the initiation time of every active transaction and below every
-  /// wall component still reachable by read-only transactions (§7.3).
+  /// every bound any live reader can still be served (§7.3; see "Read
+  /// horizon" above). A query: only CollectGarbage prunes.
   Timestamp SafeGcHorizon() const;
 
-  /// §7.3 garbage collection, safe to call concurrently with running
-  /// transactions: fixes a safe horizon under the wall mutex, then prunes
-  /// segment by segment under the owning class's shard latch — the same
-  /// latch every version-chain access in this controller takes.
-  /// Returns the number of versions removed.
+  /// §7.3 garbage collection — the one entry point, safe to call
+  /// concurrently with running transactions: fixes a safe horizon and
+  /// raises the AS-OF guard under the wall mutex, then prunes segment by
+  /// segment under the owning class's shard latch — the same latch every
+  /// version-chain access in this controller takes. Returns the number of
+  /// versions removed.
   std::size_t CollectGarbage();
 
   /// Total finished-history records across all class activity tables
@@ -358,7 +379,7 @@ class HddController : public ConcurrencyController {
     /// Granules read, accumulated like `writes` (driving thread only) and
     /// only when a FootprintRecorder is attached; published on commit.
     std::vector<GranuleRef> fp_reads;
-    const TimeWall* wall = nullptr;  // Protocol C wall, fixed at first read
+    const TimeWall* wall = nullptr;  // Protocol C wall, pinned at Begin
     /// For hosted read-only transactions (§5.0): the lowest class of the
     /// declared critical path; kReadOnlyClass when not hosted.
     ClassId hosted_below = kReadOnlyClass;
@@ -423,10 +444,9 @@ class HddController : public ConcurrencyController {
   static std::vector<SegmentId> DistinctSegments(
       const std::vector<GranuleRef>& granules);
 
-  /// Validates a read_scope declaration and returns the lowest class of
-  /// the critical path it spans, or an error. Caller holds the structure
-  /// gate.
-  Result<ClassId> ResolveHostClass(const std::vector<SegmentId>& scope);
+  /// ResolveHostClass body; caller holds the structure gate.
+  Result<ClassId> ResolveHostClassLocked(
+      const std::vector<SegmentId>& scope) const;
 
   /// Read paths. All take the caller's structure-gate lock so they can
   /// release it (and reacquire after) around any condition-variable wait.
@@ -440,19 +460,30 @@ class HddController : public ConcurrencyController {
 
   /// Computes and releases a wall; caller holds the structure gate
   /// (shared), which is released and reacquired around waits for a
-  /// finish event while some C^late is not yet computable. When
-  /// `pin_for` is non-null the new wall is pinned to that transaction in
-  /// the same critical section that publishes it, so the GC horizon can
-  /// never slip past it first.
-  Result<const TimeWall*> ReleaseWallInternal(
-      std::shared_lock<std::shared_mutex>& gate, TxnRuntime* pin_for);
+  /// finish event while some C^late is not yet computable. The anchor is
+  /// a registered stab for the whole computation.
+  Status ReleaseWallInternal(std::shared_lock<std::shared_mutex>& gate);
+  /// A Protocol C Begin's wall: pins wall `as_of_wall` (validated against
+  /// the GC horizon) or, for -1, the newest wall, releasing the first one
+  /// when none exists. Caller holds the structure gate (shared).
+  Result<const TimeWall*> PinWall(std::shared_lock<std::shared_mutex>& gate,
+                                  int as_of_wall);
+
+  /// Ticks a stab time and enters it in the reader registry. The clock is
+  /// never ticked under wall_mu_ (on a shard a tick is a clock RPC); a
+  /// tick that a collection or an idle trim may have passed before the
+  /// registration landed is redrawn.
+  Timestamp RegisterStab();
+  /// Removes one registration of `stab`.
+  void UnregisterStab(Timestamp stab);
 
   /// Minimum over bound components of a wall.
   static Timestamp WallMin(const TimeWall& wall);
   /// Caller holds the structure gate (shared) and wall_mu_; takes each
   /// class shard briefly.
-  Timestamp ComputeSafeGcHorizon() const;
+  Timestamp ComputeSafeGcHorizon(Timestamp now) const;
   /// Idle-point history trim; caller holds the structure gate (shared).
+  /// Stands down while the reader registry is not empty.
   void MaybeTrimHistory();
   /// Announces a finished update transaction to wall computations.
   void SignalFinishEvent();
@@ -483,17 +514,22 @@ class HddController : public ConcurrencyController {
   ShardTableSource shard_source_{this};
   std::unique_ptr<ActivityLinkEvaluator> eval_;
 
-  /// Walls and their pins. walls_ is append-only (stable addresses);
-  /// wall_pins_ maps a pinned wall to the number of read-only
-  /// transactions currently reading under it. last_gc_horizon_ is the
-  /// highest horizon ever passed to garbage collection; AS-OF
-  /// transactions targeting walls below it are rejected (their versions
-  /// may be gone). Note: collections issued directly on the Database
-  /// bypass this guard.
+  /// Walls, their pins and the reader registry. walls_ is append-only
+  /// (stable addresses); wall_pins_ maps a pinned wall to the number of
+  /// read-only transactions currently reading under it. reader_stabs_
+  /// holds the stab times of live readers no class table shows (a hosted
+  /// reader's I(t), each in-flight wall computation's anchor, the open
+  /// epoch's anchor). last_gc_horizon_ is the highest horizon ever passed
+  /// to garbage collection; AS-OF transactions targeting walls below it
+  /// are rejected (their versions may be gone). stab_floor_ is one past
+  /// the clock reading of the last collection or idle trim: a stab drawn
+  /// below it may have been passed unseen, so RegisterStab redraws it.
   mutable std::mutex wall_mu_;
   std::deque<TimeWall> walls_;
   std::unordered_map<const TimeWall*, int> wall_pins_;
+  std::multiset<Timestamp> reader_stabs_;
   Timestamp last_gc_horizon_ = kTimestampMin;
+  Timestamp stab_floor_ = kTimestampMin;
 
   std::array<TxnStripe, kTxnStripes> txn_stripes_;
   std::atomic<TxnId> next_txn_id_{1};
@@ -504,10 +540,6 @@ class HddController : public ConcurrencyController {
   /// concurrent Begin is guaranteed a later initiation timestamp.
   std::atomic<std::int64_t> active_txns_{0};
 
-  /// Wall computations in flight; the idle trim stands down while one is
-  /// mid-retry so finished straddlers it may still stab stay available.
-  std::atomic<int> wall_computing_{0};
-
   /// Finish-event channel: wall computations blocked on a not-yet
   /// computable C^late wait here for any update transaction to finish.
   std::atomic<std::uint64_t> finish_seq_{0};
@@ -517,10 +549,11 @@ class HddController : public ConcurrencyController {
   /// Serializes Restructure calls (drain + swap).
   std::mutex restructure_mu_;
 
-  /// Current epoch (nullptr between epochs). Leaf mutex: taken by
-  /// BeginEpoch/BeginBatch/EndEpoch and by the GC-horizon clamp; never
-  /// held across a wait or a shard latch. Readers on the data path reach
-  /// the context through their TxnRuntime's shared_ptr instead.
+  /// Current epoch (nullptr between epochs). Taken by BeginEpoch,
+  /// BeginBatch, EndEpoch and a wall computation's anchor clamp (which
+  /// nests the wall mutex inside it); never held across a wait or a
+  /// shard latch. Readers on the data path reach the context through
+  /// their TxnRuntime's shared_ptr instead.
   mutable std::mutex epoch_mu_;
   std::shared_ptr<EpochContext> current_epoch_;
   std::atomic<EpochId> next_epoch_id_{1};

@@ -158,29 +158,41 @@ std::string CheckRecordedHistory(
     return "serial witness is not monoversion-consistent (not 1SR)";
   }
 
-  // 3. Bound replay against the final chains: no transaction may ever
-  // have committed a version below a bound that was already served.
+  // 3. Bound replay against the committed writes of the history: the
+  // version a bounded read saw must be the latest committed write below
+  // its bound (the initial version, order key 0, when there is none) — no
+  // transaction may ever have committed a version below a bound that was
+  // already served. The history, not the chains, is the reference:
+  // garbage collection may prune a chain below bounds no live reader
+  // still needs. The final chains must still end in the history's last
+  // committed write of each granule.
   if (replay_bounds) {
+    std::map<std::pair<SegmentId, std::uint32_t>, std::set<Timestamp>> written;
+    for (const Step& step : steps) {
+      const auto outcome = outcomes.find(step.txn);
+      if (step.action == Step::Action::kWrite && outcome != outcomes.end() &&
+          outcome->second == TxnState::kCommitted) {
+        written[{step.granule.segment, step.granule.index}].insert(
+            step.version);
+      }
+    }
+    const auto latest_below = [&written](GranuleRef g, Timestamp bound) {
+      const auto it = written.find({g.segment, g.index});
+      if (it == written.end()) return Timestamp{0};
+      const auto above = it->second.lower_bound(bound);
+      return above == it->second.begin() ? Timestamp{0} : *std::prev(above);
+    };
     for (const Step& step : steps) {
       if (step.action != Step::Action::kRead) continue;
       if (step.bound == kTimestampMin) continue;
-      const Granule& granule = db.granule(step.granule);
-      const Version* v = granule.LatestCommittedBefore(step.bound);
-      if (v == nullptr) {
-        std::ostringstream msg;
-        msg << "txn " << step.txn << " read granule (" << step.granule.segment
-            << "," << step.granule.index << ") under bound " << step.bound
-            << " but the final chain has no committed version below it";
-        return msg.str();
-      }
-      if (v->order_key != step.version) {
+      const Timestamp expected = latest_below(step.granule, step.bound);
+      if (step.version != expected) {
         std::ostringstream msg;
         msg << "txn " << step.txn << " read version " << step.version
             << " of granule (" << step.granule.segment << ","
             << step.granule.index << ") under bound " << step.bound
-            << " but the final chain's latest committed version below that "
-               "bound is "
-            << v->order_key << " — a version committed below a served bound";
+            << " but the latest committed write below that bound is "
+            << expected << " — a version committed below a served bound";
         return msg.str();
       }
       const auto identity = identities.find(step.txn);
@@ -190,6 +202,21 @@ std::string CheckRecordedHistory(
         msg << "update txn " << step.txn << " served at bound " << step.bound
             << " above its initiation time " << identity->second.init_ts;
         return msg.str();
+      }
+    }
+    for (SegmentId s = 0; s < db.num_segments(); ++s) {
+      const Segment& segment = db.segment(s);
+      for (std::uint32_t i = 0; i < segment.size(); ++i) {
+        const Version* tip = segment.granule(i).LatestCommitted();
+        const Timestamp expected =
+            latest_below({s, i}, kTimestampInfinity);
+        if (tip == nullptr || tip->order_key != expected) {
+          std::ostringstream msg;
+          msg << "granule (" << s << "," << i << ") ends in committed "
+              << "version " << (tip == nullptr ? 0 : tip->order_key)
+              << " but the history's last committed write is " << expected;
+          return msg.str();
+        }
       }
     }
   }

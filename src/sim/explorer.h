@@ -100,16 +100,18 @@ ExploreReport ExploreBoundedSchedules(SimScheduler::Options base,
 ///   2. replaying its topological order as a serial schedule on a
 ///      single-version store reproduces every read (the 1SR witness);
 ///   3. if `replay_bounds`: every Protocol A/C read's recorded bound,
-///      replayed against the FINAL version chains, returns exactly the
-///      version the read saw (no version ever committed below a served
-///      bound), and update-txn bounds never exceed the reader's init
-///      timestamp;
+///      replayed against the history's committed writes, selects exactly
+///      the version the read saw (no version ever committed below a
+///      served bound); update-txn bounds never exceed the reader's init
+///      timestamp; and each granule's final chain ends in the history's
+///      last committed write;
 ///   4. also under `replay_bounds`: read-only transactions used one bound
 ///      per segment and saw one version per granule (consistent-cut
 ///      shape). Both bound checks apply only to bound-carrying (HDD)
 ///      histories.
 /// Returns "" on success, else a description of the first violation.
-/// `replay_bounds` requires that no GC pruned the chains during the run.
+/// Garbage collection during the run is fine: only the chains' committed
+/// tips are consulted, and GC never prunes those.
 std::string CheckSimHistory(const ConcurrencyController& cc, Database& db,
                             bool replay_bounds);
 

@@ -65,14 +65,6 @@ std::size_t Database::TotalVersions() const {
   return total;
 }
 
-std::size_t Database::CollectGarbage(Timestamp horizon) {
-  std::size_t removed = 0;
-  for (int s = 0; s < num_segments(); ++s) {
-    removed += CollectGarbageSegment(s, horizon);
-  }
-  return removed;
-}
-
 std::size_t Database::CollectGarbageSegment(SegmentId s, Timestamp horizon) {
   Segment& seg = segment(s);
   const std::uint32_t count = seg.size();

@@ -79,13 +79,11 @@ class Database {
   /// Total number of versions across all granules (observability/GC).
   std::size_t TotalVersions() const;
 
-  /// §7.3 garbage collection: prunes every granule against `horizon`
-  /// (see Granule::Prune). Returns the number of versions removed.
-  std::size_t CollectGarbage(Timestamp horizon);
-
-  /// Prunes one segment against `horizon` under that segment's latch.
-  /// Lets a controller with per-segment latching collect incrementally
-  /// while transactions keep running in other segments.
+  /// §7.3 garbage collection of one segment: prunes its granules against
+  /// `horizon` (see Granule::Prune) under the segment's latch and returns
+  /// the number of versions removed. The horizon must be safe for every
+  /// live reader; HddController::CollectGarbage is the caller that
+  /// computes one, segment by segment while other segments keep running.
   std::size_t CollectGarbageSegment(SegmentId s, Timestamp horizon);
 
   /// Optional durability hookup (src/wal/): controllers that find a WAL

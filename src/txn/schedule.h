@@ -31,8 +31,8 @@ struct Step {
   /// For HDD Protocol A/C reads: the activity-link or time-wall bound the
   /// read was served under (the read returned the latest committed
   /// version with wts < bound). kTimestampMin when not applicable. The
-  /// concurrency oracle replays these bounds against the final version
-  /// chains to certify that every unregistered read observed a
+  /// concurrency oracle replays these bounds against the history's
+  /// committed writes to certify that every unregistered read observed a
   /// time-wall/activity-link-consistent cut.
   Timestamp bound = kTimestampMin;
   /// Global sequence number fixing the physical interleaving.

@@ -70,7 +70,8 @@ TEST(DatabaseTest, CollectGarbageAcrossSegments) {
   }
   EXPECT_EQ(db.TotalVersions(), 8u);
   // Horizon 100: keep only the newest committed version per granule.
-  EXPECT_EQ(db.CollectGarbage(100), 6u);
+  EXPECT_EQ(db.CollectGarbageSegment(0, 100), 3u);
+  EXPECT_EQ(db.CollectGarbageSegment(1, 100), 3u);
   EXPECT_EQ(db.TotalVersions(), 2u);
 }
 

@@ -242,5 +242,48 @@ TEST(DistSocket, InProcessPairLeaksNoFds) {
   EXPECT_EQ(CountOpenFds(), before);
 }
 
+// A read-only submit whose read_scope names a segment outside the schema
+// fails cleanly: the scope is validated before any shard-map lookup, so a
+// wild segment id can no longer index the map out of bounds and take the
+// node down. The node keeps serving and shuts down without leaking a
+// transport socket.
+TEST(DistSocket, OutOfRangeReadScopeFailsAndNodeKeepsServing) {
+  const std::uint16_t dist0 = PickFreePort();
+  ASSERT_NE(dist0, 0);
+  ShardServerOptions options;
+  options.node_id = 0;
+  options.peers = {{"", dist0}};
+  options.depth = 4;
+  options.granules_per_segment = 8;
+  ShardServer node(options);
+  ASSERT_EQ(node.init_error(), "");
+  ASSERT_TRUE(node.Start().ok());
+  SyncClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", node.front_port()).ok());
+
+  std::uint64_t id = 1;
+  for (const std::vector<SegmentId>& scope :
+       {std::vector<SegmentId>{0, 4}, std::vector<SegmentId>{0, 1000000},
+        std::vector<SegmentId>{0, -5}}) {
+    Result<ResponseMsg> r =
+        client.Call(ReadOnly(id++, scope, {{WireOp::Kind::kRead, {0, 0}, 0}}));
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->type, NetMsgType::kResult);
+    EXPECT_FALSE(r->committed) << "scope ending in " << scope.back();
+  }
+  Result<ResponseMsg> r =
+      client.Call(Submit(id++, 0, {{WireOp::Kind::kWrite, {0, 0}, 5}}));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->committed);
+  r = client.Call(ReadOnly(id++, {0, 1}, {{WireOp::Kind::kRead, {0, 0}, 0}}));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->committed);
+  ASSERT_EQ(r->values.size(), 1u);
+  EXPECT_EQ(r->values[0], 5);
+
+  EXPECT_TRUE(node.Stop().ok());
+  EXPECT_EQ(node.transport_open_fds(), 0);
+}
+
 }  // namespace
 }  // namespace hdd

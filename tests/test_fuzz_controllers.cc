@@ -217,6 +217,10 @@ TEST_P(HddHierarchyFuzzTest, RandomHierarchyOpSoup) {
                            rng.NextInRange(0, kGranules + 1))};
         if (roll < 0.40) {
           auto value = cc.Read(*open, ref);
+          // A collection must never prune what a live reader still
+          // selects; the read paths report that as Internal.
+          EXPECT_NE(value.status().code(), StatusCode::kInternal)
+              << value.status() << ", seed " << seed;
           if (!value.ok() && value.status().IsRetryable()) {
             (void)cc.Abort(*open);
             open.reset();

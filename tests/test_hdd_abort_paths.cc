@@ -1,6 +1,8 @@
 // Abort-path coverage for the HDD controller: aborting mid-write on the
 // root segment, garbage collection racing an eventually-aborted writer,
-// and time-wall pins held (then released) across a read-only abort. These
+// time-wall pins held (then released) across a read-only abort, and
+// collections that must spare what live read-only transactions still
+// read. These
 // are the recovery paths the deterministic simulation harness exercises
 // under fault injection; here each scenario is pinned down sequentially.
 
@@ -143,8 +145,9 @@ TEST_F(HddAbortPathsTest, GcKeepsUncommittedVersionOfPendingWriter) {
 TEST_F(HddAbortPathsTest, WallPinHeldAcrossLifeAndReleasedOnAbort) {
   CommitEvent(1);
 
-  // The read-only transaction pins a wall at its first Protocol C read
-  // and keeps reading the same consistent cut afterwards.
+  // The read-only transaction pins a wall at Begin (releasing the first
+  // one, since none exists yet) and keeps reading the same consistent cut
+  // afterwards.
   auto ro = cc_->Begin({.read_only = true});
   ASSERT_TRUE(ro.ok());
   auto first = cc_->Read(*ro, kEvent0);
@@ -186,6 +189,44 @@ TEST_F(HddAbortPathsTest, WallPinHeldAcrossLifeAndReleasedOnAbort) {
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, 3);
   ASSERT_TRUE(cc_->Commit(*later).ok());
+}
+
+// A Protocol C reader keeps the wall it began under, even after a newer
+// wall is out and a collection ran: the horizon must cover the wall the
+// reader pinned, not just the newest one.
+TEST_F(HddAbortPathsTest, GcKeepsTheWallAProtocolCReaderBeganUnder) {
+  CommitEvent(1);
+  ASSERT_TRUE(cc_->ReleaseNewWall().ok());  // W0: sees 1
+  CommitEvent(2);
+  auto ro = cc_->Begin({.read_only = true});
+  ASSERT_TRUE(ro.ok());
+  ASSERT_TRUE(cc_->ReleaseNewWall().ok());  // W1: sees 2
+  CommitEvent(3);
+  (void)cc_->CollectGarbage();
+  auto value = cc_->Read(*ro, kEvent0);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 1);
+  ASSERT_TRUE(cc_->Commit(*ro).ok());
+}
+
+// A hosted read-only transaction (§5.0) sits in no class table, yet reads
+// below the still-active update U that straddled its initiation. After U
+// commits, a collection must not prune what the hosted reader's bound
+// still selects.
+TEST_F(HddAbortPathsTest, GcKeepsAHostedReadersBound) {
+  CommitEvent(1);
+  auto update = cc_->Begin({.txn_class = 1});
+  ASSERT_TRUE(update.ok());
+  ASSERT_TRUE(cc_->Write(*update, {1, 0}, 7).ok());
+  CommitEvent(2);
+  auto ro = cc_->Begin({.read_only = true, .read_scope = {0, 1}});
+  ASSERT_TRUE(ro.ok());
+  ASSERT_TRUE(cc_->Commit(*update).ok());
+  (void)cc_->CollectGarbage();
+  auto value = cc_->Read(*ro, kEvent0);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 1);
+  ASSERT_TRUE(cc_->Commit(*ro).ok());
 }
 
 TEST_F(HddAbortPathsTest, AbortPathsLeaveMetricsAndHistoryConsistent) {

@@ -226,7 +226,7 @@ TEST_F(HddControllerTest, GcKeepsVersionsReadersNeed) {
     ASSERT_TRUE(cc_->Commit(*txn).ok());
   }
   EXPECT_EQ(db_.granule(kEvent).num_versions(), 6u);
-  db_.CollectGarbage(cc_->SafeGcHorizon());
+  (void)cc_->CollectGarbage();
   EXPECT_EQ(db_.granule(kEvent).num_versions(), 1u);
   auto reader = cc_->Begin({.txn_class = 1});
   auto value = cc_->Read(*reader, kEvent);

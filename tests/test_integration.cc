@@ -188,7 +188,7 @@ TEST(GcIntegrationTest, CollectDuringInventoryRun) {
     ExecutorStats stats = RunWorkload(cc, workload, 100, options);
     EXPECT_EQ(stats.failed, 0u);
     const std::size_t before = db->TotalVersions();
-    db->CollectGarbage(cc.SafeGcHorizon());
+    (void)cc.CollectGarbage();
     EXPECT_LE(db->TotalVersions(), before);
   }
   EXPECT_TRUE(CheckSerializability(cc.recorder()).serializable);

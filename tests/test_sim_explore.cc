@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -315,6 +317,146 @@ TEST(SimExplore, EpochCanaryMutationIsCaught) {
   std::cout << "epoch canary caught at seed " << first.seed << ": "
             << first.message << "\n  replay: " << first.replay_command
             << std::endl;
+}
+
+// ---------------------------------------------------------------------------
+// Garbage collection against every kind of reader. A service task releases
+// walls and collects garbage at yield points while the workers run update
+// transactions and the three kinds of read-only transaction the read
+// horizon must cover: Protocol C at the newest wall, hosted (§5.0
+// read_scope) and AS-OF an older wall. The oracle replays every bound
+// against the history's committed writes (the chains are being pruned),
+// and a read whose version was collected comes back Internal, which the
+// run reports as a failure.
+
+// Update programs from the synthetic chain plus the three reader kinds.
+class GcReaderWorkload : public Workload {
+ public:
+  GcReaderWorkload(const SyntheticWorkload* updates, const HddController* cc,
+                   std::atomic<bool>* collected)
+      : updates_(updates), cc_(cc), collected_(collected) {}
+
+  TxnProgram Make(std::uint64_t index, Rng& rng) const override {
+    const double roll = rng.NextDouble();
+    if (roll >= 0.5) return updates_->Make(index, rng);
+    const SyntheticWorkloadParams& params = updates_->params();
+    TxnProgram program;
+    program.options.read_only = true;
+    SegmentId top = static_cast<SegmentId>(params.depth - 1);
+    if (roll < 0.2) {
+      // Hosted below a random class: its segment and every one above.
+      top = static_cast<SegmentId>(rng.NextBounded(params.depth));
+      for (SegmentId s = 0; s <= top; ++s) {
+        program.options.read_scope.push_back(s);
+      }
+    } else if (roll < 0.35 && cc_->num_walls() > 0) {
+      // AS-OF a released wall, possibly collected already (then Begin
+      // fails FailedPrecondition and the program fails, harmlessly).
+      program.options.as_of_wall =
+          static_cast<int>(rng.NextBounded(cc_->num_walls()));
+    }
+    const std::uint32_t g = static_cast<std::uint32_t>(
+        rng.NextBounded(params.granules_per_segment));
+    program.body = [top, g, collected = collected_](
+                       ConcurrencyController& cc,
+                       const TxnDescriptor& txn) -> Status {
+      for (SegmentId s = 0; s <= top; ++s) {
+        const Status read = cc.Read(txn, {s, g}).status();
+        if (read.code() == StatusCode::kInternal) collected->store(true);
+        HDD_RETURN_IF_ERROR(read);
+      }
+      return Status::OK();
+    };
+    return program;
+  }
+
+ private:
+  const SyntheticWorkload* updates_;
+  const HddController* cc_;
+  std::atomic<bool>* collected_;
+};
+
+// One GC run; `epoch_size` > 0 drives it through the epoch executor, whose
+// open epoch anchors bounds below every batch I(t).
+SimWorkloadFn GcSweepWorkload(std::uint64_t epoch_size,
+                              std::atomic<std::uint64_t>* removed_total) {
+  return [epoch_size, removed_total](SimScheduler& sched) -> std::string {
+    WorkloadShape shape = HddShape();
+    shape.params.read_only_fraction = 0.0;  // readers come from the mix
+    shape.txns = 12;
+    SyntheticWorkload updates(shape.params);
+    auto schema = HierarchySchema::Create(updates.Spec());
+    if (!schema.ok()) return schema.status().ToString();
+    auto db = updates.MakeDatabase();
+    SimClock clock(&sched);
+    HddController cc(db.get(), &clock, &*schema);
+    std::atomic<bool> collected{false};
+    GcReaderWorkload workload(&updates, &cc, &collected);
+    std::atomic<std::uint64_t> removed{0};
+    auto service = [&cc, &removed](const std::atomic<bool>& done) {
+      while (!done.load(std::memory_order_acquire)) {
+        (void)cc.ReleaseNewWall();
+        SimSleep(std::chrono::microseconds(100));
+        removed += cc.CollectGarbage();
+        SimSleep(std::chrono::microseconds(100));
+      }
+    };
+    // Workers collect too, so collections also land while the service is
+    // part-way through a wall computation.
+    auto on_txn_done = [&cc, &removed](std::uint64_t) {
+      removed += cc.CollectGarbage();
+    };
+    if (epoch_size > 0) {
+      EpochExecutorOptions options;
+      options.num_threads = shape.threads;
+      options.epoch_size = epoch_size;
+      options.seed = sched.seed() * 31 + 7;  // the mix varies by seed too
+      options.max_retries = shape.max_retries;
+      options.sim = &sched;
+      options.service = service;
+      options.on_txn_done = on_txn_done;
+      (void)RunWorkloadEpochs(cc, workload, shape.txns, options);
+    } else {
+      ExecutorOptions options;
+      options.num_threads = shape.threads;
+      options.seed = sched.seed() * 31 + 7;  // the mix varies by seed too
+      options.max_retries = shape.max_retries;
+      options.sim = &sched;
+      options.service = service;
+      options.on_txn_done = on_txn_done;
+      (void)RunWorkload(cc, workload, shape.txns, options);
+    }
+    if (sched.halted()) return "";
+    removed_total->fetch_add(removed.load(), std::memory_order_relaxed);
+    if (collected.load()) {
+      return "a read found its version collected below its bound";
+    }
+    return CheckSimHistory(cc, *db, /*replay_bounds=*/true);
+  };
+}
+
+// Scaled from HDD_SIM_SEEDS (a quarter of the main sweep, both drivers),
+// so ci/check.sh's sim, asan and tsan stages size it with their corpus.
+TEST(SimExplore, GcSweepSparesEveryReader) {
+  SimScheduler::Options base;
+  base.faults = SweepFaults();
+  const std::uint64_t seeds =
+      std::max<std::uint64_t>(1, EnvOr("HDD_SIM_SEEDS", 2000) / 4);
+  for (const std::uint64_t epoch_size : {0, 4}) {
+    SCOPED_TRACE(epoch_size);
+    std::atomic<std::uint64_t> removed{0};
+    const SeedSweepReport report = RunSeedSweep(
+        base, FirstSeed(), seeds, GcSweepWorkload(epoch_size, &removed),
+        "ctest -R test_sim_explore");
+    ExpectSweepClean(report, epoch_size > 0 ? "gc-epoch" : "gc");
+    EXPECT_EQ(report.runs, seeds);
+    // The sweep is only evidence if faults fired and GC really pruned.
+    EXPECT_GT(report.faults_injected, 0u);
+    EXPECT_GT(removed.load(), 0u);
+    std::cout << (epoch_size > 0 ? "gc-epoch" : "gc") << " sweep: "
+              << removed.load() << " versions collected over " << report.runs
+              << " seeds" << std::endl;
+  }
 }
 
 // ---------------------------------------------------------------------------
