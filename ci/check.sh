@@ -14,6 +14,9 @@
 #      schedules of the HDD workload under fault injection (seed count
 #      overridable via HDD_SIM_SEEDS; failing seeds print a replay
 #      command of the form HDD_SIM_FIRST_SEED=<seed> HDD_SIM_SEEDS=1 ...).
+#      The garbage-collection sweep (SimExplore.GcSweepSparesEveryReader)
+#      runs HDD_SIM_SEEDS/4 seeds per driver, so the sim, asan and tsan
+#      stages below size it with their own HDD_SIM_SEEDS.
 #   3b. Dist stage: the sharded deployment (src/dist). Seeded sweeps of
 #      the N-node cluster under message faults, cluster crashes, and the
 #      stale-bound canary (HDD_SIM_DIST_* knobs), plus the socket smoke

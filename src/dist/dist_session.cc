@@ -243,10 +243,8 @@ DistTxnResult DistSession::Run(const DistProgram& program, int max_retries,
         local_plain = false;
       }
     }
-    // On the bounded path the local controller still hosts the
-    // transaction — its I(t) is a registered reader stab — but the reads
-    // go through this session against the live tables of each class's
-    // home.
+    // On the bounded path the local controller still hosts the reader
+    // (its I(t) is a registered stab); the reads go through this session.
     if (!local_plain) host = *resolved;
   }
 

@@ -48,11 +48,17 @@ struct CachedTxnLookup {
 };
 thread_local CachedTxnLookup t_txn_lookup;
 
-// A read-only transaction's bound selects no version: a collection passed
-// a live reader. Fail the read instead of serving a wrong cut.
-Status CollectedBelowBound() {
-  return Status::Internal(
-      "no version below the read bound: collected past a live reader");
+// Distinct segments among `granules`, in first-seen order.
+std::vector<SegmentId> DistinctSegments(
+    const std::vector<GranuleRef>& granules) {
+  std::vector<SegmentId> segments;
+  for (GranuleRef granule : granules) {
+    if (std::find(segments.begin(), segments.end(), granule.segment) ==
+        segments.end()) {
+      segments.push_back(granule.segment);
+    }
+  }
+  return segments;
 }
 
 }  // namespace
@@ -136,17 +142,8 @@ Result<bool> HddController::IsLegalAccessPattern(
     return Status::InvalidArgument("pattern needs a write segment");
   }
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
-  const int num_segments = static_cast<int>(class_of_segment_.size());
-  for (SegmentId s : write_segments) {
-    if (s < 0 || s >= num_segments) {
-      return Status::InvalidArgument("write segment out of range");
-    }
-  }
-  for (SegmentId s : read_segments) {
-    if (s < 0 || s >= num_segments) {
-      return Status::InvalidArgument("read segment out of range");
-    }
-  }
+  HDD_RETURN_IF_ERROR(CheckSegments(write_segments, "write segment"));
+  HDD_RETURN_IF_ERROR(CheckSegments(read_segments, "read segment"));
   const ClassId own = class_of_segment_[write_segments[0]];
   for (SegmentId s : write_segments) {
     if (class_of_segment_[s] != own) return false;
@@ -460,22 +457,17 @@ Result<ClassId> HddController::ResolveHostClassLocked(
   if (scope.empty()) {
     return Status::InvalidArgument("empty read scope");
   }
-  // Map to classes and find the lowest: the class from which every other
-  // scoped class is reachable by a critical path.
-  std::vector<ClassId> classes;
+  HDD_RETURN_IF_ERROR(CheckSegments(scope, "read scope segment"));
+  // The lowest scoped class: every other one must be reachable from it by
+  // a critical path.
+  ClassId lowest = class_of_segment_[scope[0]];
   for (SegmentId s : scope) {
-    if (s < 0 || s >= static_cast<int>(class_of_segment_.size())) {
-      return Status::InvalidArgument("read scope segment out of range");
-    }
-    classes.push_back(class_of_segment_[s]);
-  }
-  ClassId lowest = classes[0];
-  for (ClassId c : classes) {
-    if (c == lowest || tst_->Higher(lowest, c)) {
-      lowest = c;  // c is lower than (or equal to) the current lowest
+    if (tst_->Higher(lowest, class_of_segment_[s])) {
+      lowest = class_of_segment_[s];
     }
   }
-  for (ClassId c : classes) {
+  for (SegmentId s : scope) {
+    const ClassId c = class_of_segment_[s];
     if (c != lowest && !tst_->Higher(c, lowest)) {
       return Status::InvalidArgument(
           "read scope is not reachable by critical paths from one host "
@@ -484,6 +476,16 @@ Result<ClassId> HddController::ResolveHostClassLocked(
     }
   }
   return lowest;
+}
+
+Status HddController::CheckSegments(const std::vector<SegmentId>& segments,
+                                    const char* what) const {
+  for (SegmentId s : segments) {
+    if (s < 0 || s >= static_cast<int>(class_of_segment_.size())) {
+      return Status::InvalidArgument(std::string(what) + " out of range");
+    }
+  }
+  return Status::OK();
 }
 
 Result<HddController::TxnRuntime*> HddController::FindTxn(
@@ -512,13 +514,15 @@ Result<std::unique_ptr<HddController::TxnRuntime>> HddController::ExtractTxn(
     cache = CachedTxnLookup{};
   }
   TxnStripe& stripe = StripeFor(txn.id);
-  std::lock_guard<std::mutex> guard(stripe.mu);
+  std::unique_lock<std::mutex> guard(stripe.mu);
   auto it = stripe.map.find(txn.id);
   if (it == stripe.map.end()) {
     return Status::FailedPrecondition("unknown or finished transaction");
   }
   std::unique_ptr<TxnRuntime> runtime = std::move(it->second);
   stripe.map.erase(it);
+  guard.unlock();
+  FlushOpMetrics(*runtime);
   return runtime;
 }
 
@@ -642,7 +646,9 @@ Result<Value> HddController::ReadHigherSegment(TxnRuntime* runtime,
   std::lock_guard<std::mutex> shard_lock(shard->mu);
   Granule& g = db_->granule(granule);
   const Version* version = g.LatestCommittedBefore(served);
-  assert(version != nullptr);
+  if (version == nullptr) {
+    return Status::Internal("version collected below a live read bound");
+  }
   // Theorem-backed invariant: every version below the activity link bound
   // was created by a transaction that already finished, hence the latest
   // *committed* version below the bound is the latest version, period.
@@ -682,7 +688,9 @@ Result<Value> HddController::ReadHosted(TxnRuntime* runtime,
   std::lock_guard<std::mutex> shard_lock(shard->mu);
   Granule& g = db_->granule(granule);
   const Version* version = g.LatestCommittedBefore(*bound);
-  if (version == nullptr) return CollectedBelowBound();
+  if (version == nullptr) {
+    return Status::Internal("version collected below a live read bound");
+  }
   assert(g.VersionBefore(*bound) != nullptr &&
          g.VersionBefore(*bound)->wts == version->wts);
   ++runtime->n_unregistered_reads;
@@ -768,7 +776,9 @@ Result<Value> HddController::ReadUnderWall(
     std::unique_lock<std::mutex> shard_lock(shard->mu);
     Granule& g = db_->granule(granule);
     Version* version = g.VersionBefore(bound);
-    if (version == nullptr) return CollectedBelowBound();
+    if (version == nullptr) {
+      return Status::Internal("version collected below a live read bound");
+    }
     if (!version->committed) {
       // A below-wall version is still in flight (possible only for classes
       // the wall reaches through a descending run); its fate decides what
@@ -796,11 +806,10 @@ Status HddController::ReleaseWallInternal(
   // Covers every retry: the span's duration is the full time-to-release,
   // including waits for straggling C^late components.
   HDD_TRACE_SPAN("hdd", "wall_compute");
-  // The anchor m is a reader stab for the whole computation, which may
-  // wait for finish events long after nothing older than m is active:
-  // registered, it keeps every collection below the closure of m — and
-  // every component the wall will name lies at or above that closure.
-  // Unregistered on every exit, a SimFault unwinding included.
+  // The anchor m is a stab for the whole computation, which may wait for
+  // finish events long after nothing older than m is active; every
+  // component lies at or above the closure of m. Unregistered on every
+  // exit, a SimFault unwinding included.
   struct AnchorStab {
     HddController* cc;
     Timestamp m;
@@ -814,9 +823,8 @@ Status HddController::ReleaseWallInternal(
   // batch neither straddles any stabbed time nor unsettles a component,
   // so the computation never waits on the epoch itself. Protocol C is
   // indifferent to the anchor's age — any released wall is a consistent
-  // cut (time travel reads strictly older walls on purpose). m_e is
-  // registered while the epoch is open; re-register it here, under the
-  // epoch mutex, because this computation may outlive the epoch.
+  // cut (time travel reads strictly older walls on purpose). Register
+  // m_e for this computation, which may outlive the epoch.
   {
     std::lock_guard<std::mutex> epoch_guard(epoch_mu_);
     if (current_epoch_ != nullptr && current_epoch_->anchor < anchor.m) {
@@ -919,6 +927,9 @@ Result<const TimeWall*> HddController::PinWall(
 
 Timestamp HddController::RegisterStab() {
   for (;;) {
+    // Never tick under wall_mu_: on a shard a tick is a clock RPC. A
+    // collection or idle trim that ran between the tick and the
+    // registration may have passed the stab unseen; draw a later one.
     const Timestamp stab = clock_->Tick();
     std::lock_guard<std::mutex> wg(wall_mu_);
     if (stab >= stab_floor_) {
@@ -1043,9 +1054,6 @@ Status HddController::Commit(const TxnDescriptor& txn) {
   std::shared_lock<std::shared_mutex> gate(struct_mu_, std::defer_lock);
   if (txn.epoch == 0) gate.lock();
   HDD_ASSIGN_OR_RETURN(std::unique_ptr<TxnRuntime> runtime, ExtractTxn(txn));
-  // Before any early return below: a failed commit still performed its
-  // reads and installs, and the counters must say so.
-  FlushOpMetrics(*runtime);
   std::uint64_t commit_ticket = 0;
   if (!runtime->descriptor.read_only) {
     // Past the point of no return (the runtime is extracted), so this
@@ -1137,18 +1145,6 @@ void HddController::FinishTxn(const TxnRuntime& runtime, TxnState outcome) {
   MaybeTrimHistory();
 }
 
-std::vector<SegmentId> HddController::DistinctSegments(
-    const std::vector<GranuleRef>& granules) {
-  std::vector<SegmentId> segments;
-  for (GranuleRef granule : granules) {
-    if (std::find(segments.begin(), segments.end(), granule.segment) ==
-        segments.end()) {
-      segments.push_back(granule.segment);
-    }
-  }
-  return segments;
-}
-
 Status HddController::Abort(const TxnDescriptor& txn) {
   // The whole abort path is non-interruptible: the executor calls Abort
   // from inside its SimFault handler (recovery), so a second fault
@@ -1159,7 +1155,6 @@ Status HddController::Abort(const TxnDescriptor& txn) {
   std::shared_lock<std::shared_mutex> gate(struct_mu_, std::defer_lock);
   if (txn.epoch == 0) gate.lock();
   HDD_ASSIGN_OR_RETURN(std::unique_ptr<TxnRuntime> runtime, ExtractTxn(txn));
-  FlushOpMetrics(*runtime);
   if (!runtime->descriptor.read_only) {
     ClassShard* shard = shards_[runtime->descriptor.txn_class].get();
     SimYield("hdd/abort/undo", /*interruptible=*/false);
@@ -1228,16 +1223,8 @@ Result<ClassId> HddController::Restructure(
   std::vector<std::shared_ptr<ClassShard>> affected;
   {
     std::shared_lock<std::shared_mutex> gate(struct_mu_);
-    for (SegmentId s : write_segments) {
-      if (s < 0 || s >= static_cast<int>(class_of_segment_.size())) {
-        return Status::InvalidArgument("write segment out of range");
-      }
-    }
-    for (SegmentId s : read_segments) {
-      if (s < 0 || s >= static_cast<int>(class_of_segment_.size())) {
-        return Status::InvalidArgument("read segment out of range");
-      }
-    }
+    HDD_RETURN_IF_ERROR(CheckSegments(write_segments, "write segment"));
+    HDD_RETURN_IF_ERROR(CheckSegments(read_segments, "read segment"));
 
     // Extend the current class graph with the ad-hoc pattern: force all
     // write classes into one group (antiparallel arcs collapse under SCC
@@ -1379,17 +1366,16 @@ Timestamp HddController::WallMin(const TimeWall& wall) {
 Timestamp HddController::SafeGcHorizon() const {
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
   std::lock_guard<std::mutex> wg(wall_mu_);
-  return ComputeSafeGcHorizon(clock_->Now());
+  return ComputeSafeGcHorizon();
 }
 
-Timestamp HddController::ComputeSafeGcHorizon(Timestamp now) const {
-  // The one rule. Every kind of reader, and the times it can still stab:
+Timestamp HddController::ComputeSafeGcHorizon() const {
+  // The one rule, over every kind of reader:
   //  * update transactions: their I(t), in the class tables;
-  //  * hosted read-only transactions, in-flight wall computations and
-  //    the open epoch: their stab times, in the reader registry;
-  //  * Protocol C transactions: the walls they pinned, plus the newest
-  //    wall, which any Begin may still pin.
-  Timestamp horizon = now + 1;
+  //  * hosted readers (§5.0), wall computations and the open epoch: the
+  //    I(t) or anchor their bounds compose from, in reader_stabs_;
+  //  * Protocol C readers: their pinned walls and the newest wall.
+  Timestamp horizon = clock_->Now() + 1;
   for (const std::shared_ptr<ClassShard>& shard : shards_) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     horizon = std::min(horizon, shard->table.OldestActiveNow());
@@ -1397,16 +1383,15 @@ Timestamp HddController::ComputeSafeGcHorizon(Timestamp now) const {
   if (!reader_stabs_.empty()) {
     horizon = std::min(horizon, *reader_stabs_.begin());
   }
-  // Close the horizon under I^old. A reader is served at a composition of
-  // I^old values of its stab time, and the transaction an I^old named may
-  // FINISH between the bound's evaluation and the serve: its init then
-  // survives only as a finished-straddler entry, invisible to
-  // OldestActiveNow. OldestActiveAt is monotone in its argument, so the
-  // fixpoint below under-approximates every bound any registered stab or
-  // active transaction can still be served, across every class (a
-  // Restructure merging a host class included) — and the iteration only
-  // ever descends, through the finite set of initiation times, so it
-  // terminates.
+  // Close the horizon under I^old. A bound is a composition of I^old
+  // values, and the transaction an I^old named may FINISH between the
+  // bound's evaluation and the serve: its init then survives only as a
+  // finished-straddler entry, invisible to OldestActiveNow. OldestActiveAt
+  // is monotone in its argument, so the fixpoint below under-approximates
+  // every bound any stab or active transaction can still be served, in
+  // every class (a Restructure merging a host class included) — and the
+  // iteration only ever descends, through the finite set of initiation
+  // times, so it terminates.
   for (;;) {
     Timestamp closed = horizon;
     for (const std::shared_ptr<ClassShard>& shard : shards_) {
@@ -1434,14 +1419,11 @@ std::size_t HddController::CollectGarbage() {
     // Fix the horizon and raise the AS-OF guard in one critical section:
     // a Begin pinning a wall validates against last_gc_horizon_ under the
     // same mutex, so it either pins before we compute (and the pin lowers
-    // the horizon) or observes the raised guard and is rejected. A stab
-    // drawn at or before `now` but not registered yet is redrawn above
-    // the floor (RegisterStab).
+    // the horizon) or observes the raised guard and is rejected.
     std::lock_guard<std::mutex> wg(wall_mu_);
-    const Timestamp now = clock_->Now();
-    horizon = ComputeSafeGcHorizon(now);
+    horizon = ComputeSafeGcHorizon();
     last_gc_horizon_ = std::max(last_gc_horizon_, horizon);
-    stab_floor_ = std::max(stab_floor_, now + 1);
+    stab_floor_ = std::max(stab_floor_, clock_->Now() + 1);
   }
   // Prune segment by segment under the owning class's shard latch — the
   // latch every version-chain access in this controller takes. New
@@ -1627,8 +1609,7 @@ void HddController::MaybeTrimHistory() {
   const Timestamp now = clock_->Now();
   if (active_txns_.load() != 0) return;
   {
-    // A registered stab may still evaluate link functions below `now`;
-    // one drawn but not yet registered is redrawn above the floor.
+    // A registered stab may still evaluate link functions below `now`.
     std::lock_guard<std::mutex> wg(wall_mu_);
     if (!reader_stabs_.empty()) return;
     stab_floor_ = std::max(stab_floor_, now + 1);
@@ -1836,7 +1817,6 @@ Status HddController::FinishDistributedCommit(const TxnDescriptor& txn) {
   SimYield("hdd/dist/finish", /*interruptible=*/false);
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
   HDD_ASSIGN_OR_RETURN(std::unique_ptr<TxnRuntime> runtime, ExtractTxn(txn));
-  FlushOpMetrics(*runtime);
   ClassShard* shard = shards_[runtime->descriptor.txn_class].get();
   {
     std::lock_guard<std::mutex> shard_lock(shard->mu);

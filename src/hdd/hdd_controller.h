@@ -115,17 +115,6 @@ struct HddControllerOptions {
 /// wall mutex -> class shard }. Data paths hold at most one class shard
 /// at a time; only Restructure (itself serialized) touches several.
 ///
-/// ## Read horizon (§7.3)
-///
-/// A version may go once no reader can still ask for it. The readers are
-/// update transactions (their class tables), Protocol C transactions
-/// (the wall each pinned at Begin) and everything else that evaluates the
-/// link functions at a time no class table shows: a hosted read-only
-/// transaction's I(t), an in-flight wall computation's anchor and the
-/// open epoch's anchor. Those stab times live in one registry;
-/// ComputeSafeGcHorizon is the one place that folds every kind of reader
-/// into the horizon.
-///
 /// Drivers follow the usual controller contract: each in-flight
 /// transaction is driven by one thread at a time (concurrent calls for
 /// *different* transactions are the point; concurrent calls for the same
@@ -203,24 +192,20 @@ class HddController : public ConcurrencyController {
       const std::vector<SegmentId>& write_segments,
       const std::vector<SegmentId>& read_segments) const;
 
-  /// Validates a read_scope declaration (§5.0) and returns the class a
-  /// hosted read-only transaction over it is hosted below: the lowest
-  /// class of the critical path the scope spans. InvalidArgument for an
-  /// empty scope, a segment out of range, or a scope no single critical
-  /// path reaches. Takes the structure gate shared.
+  /// Validates a read_scope declaration (§5.0) and returns the lowest
+  /// class of the critical path it spans, the host of a read-only
+  /// transaction over it, or InvalidArgument. Takes the structure gate.
   Result<ClassId> ResolveHostClass(const std::vector<SegmentId>& scope) const;
 
   /// A version-GC horizon currently safe for garbage collection: below
-  /// every bound any live reader can still be served (§7.3; see "Read
-  /// horizon" above). A query: only CollectGarbage prunes.
+  /// every bound any live reader can still be served (§7.3). A query.
   Timestamp SafeGcHorizon() const;
 
-  /// §7.3 garbage collection — the one entry point, safe to call
-  /// concurrently with running transactions: fixes a safe horizon and
-  /// raises the AS-OF guard under the wall mutex, then prunes segment by
-  /// segment under the owning class's shard latch — the same latch every
-  /// version-chain access in this controller takes. Returns the number of
-  /// versions removed.
+  /// §7.3 garbage collection, the one entry point; safe to call
+  /// concurrently with running transactions: fixes a safe horizon under
+  /// the wall mutex, then prunes segment by segment under the owning
+  /// class's shard latch — the same latch every version-chain access in
+  /// this controller takes. Returns the number of versions removed.
   std::size_t CollectGarbage();
 
   /// Total finished-history records across all class activity tables
@@ -414,7 +399,8 @@ class HddController : public ConcurrencyController {
   /// finishes the transaction (single-driver contract).
   Result<TxnRuntime*> FindTxn(const TxnDescriptor& txn);
   /// Removes and returns the runtime (Commit/Abort claim ownership so a
-  /// second finish observes FailedPrecondition).
+  /// second finish observes FailedPrecondition) and flushes its operation
+  /// counts: even a commit that fails later performed its reads.
   Result<std::unique_ptr<TxnRuntime>> ExtractTxn(const TxnDescriptor& txn);
   /// Publishes the runtime's deferred per-operation counts (see
   /// TxnRuntime) into the shared metric registry.
@@ -423,28 +409,23 @@ class HddController : public ConcurrencyController {
   /// attached FootprintRecorder (caller checked options_.footprint).
   void PublishFootprint(const TxnRuntime& runtime);
 
-  /// The one commit install of an update transaction: marks its versions
-  /// committed and appends its commit records in ONE critical section of
-  /// its class shard and, with `finish`, ends it in the activity table in
-  /// that same section (a local Commit; the 2PC coordinator leaves it
-  /// active until FinishDistributedCommit). Returns the last commit
-  /// ticket, 0 without a WAL. Caller holds the structure gate (shared).
+  /// Marks an update transaction's versions committed and appends its
+  /// commit records in ONE class-shard critical section; with `finish`
+  /// (a local Commit, not a 2PC coordinator) also ends it in the activity
+  /// table there. Returns the last commit ticket, 0 without a WAL.
   Result<std::uint64_t> InstallCommit(const TxnRuntime& runtime, bool finish);
-  /// Waits until `ticket` is durable (no-op for ticket 0 or without a
-  /// WAL), with the structure gate released across the wait.
+  /// Waits until `ticket` is durable (no-op for 0) with the gate released.
   Status AwaitDurable(std::shared_lock<std::shared_mutex>& gate,
                       std::uint64_t ticket);
-  /// The one finish step of Commit, Abort and FinishDistributedCommit,
-  /// after the runtime left the activity table: releases its reader
-  /// registration, publishes the footprint of a commit, records the
-  /// outcome, bumps the counters and the active count, and tries the
-  /// idle trim.
+  /// The finish step of Commit, Abort and FinishDistributedCommit: reader
+  /// release, footprint, outcome, counters, active count and idle trim.
   void FinishTxn(const TxnRuntime& runtime, TxnState outcome);
-  /// Distinct segments among `granules`, in first-seen order.
-  static std::vector<SegmentId> DistinctSegments(
-      const std::vector<GranuleRef>& granules);
 
-  /// ResolveHostClass body; caller holds the structure gate.
+  /// InvalidArgument "<what> out of range" unless every segment exists.
+  /// Caller holds the structure gate, like ResolveHostClassLocked.
+  Status CheckSegments(const std::vector<SegmentId>& segments,
+                       const char* what) const;
+  /// ResolveHostClass body.
   Result<ClassId> ResolveHostClassLocked(
       const std::vector<SegmentId>& scope) const;
 
@@ -460,30 +441,24 @@ class HddController : public ConcurrencyController {
 
   /// Computes and releases a wall; caller holds the structure gate
   /// (shared), which is released and reacquired around waits for a
-  /// finish event while some C^late is not yet computable. The anchor is
-  /// a registered stab for the whole computation.
+  /// finish event while some C^late is not yet computable.
   Status ReleaseWallInternal(std::shared_lock<std::shared_mutex>& gate);
-  /// A Protocol C Begin's wall: pins wall `as_of_wall` (validated against
-  /// the GC horizon) or, for -1, the newest wall, releasing the first one
-  /// when none exists. Caller holds the structure gate (shared).
+  /// Pins a Protocol C Begin's wall: `as_of_wall`, or the newest for -1
+  /// (releasing the first wall when none exists). Caller holds the gate.
   Result<const TimeWall*> PinWall(std::shared_lock<std::shared_mutex>& gate,
                                   int as_of_wall);
 
-  /// Ticks a stab time and enters it in the reader registry. The clock is
-  /// never ticked under wall_mu_ (on a shard a tick is a clock RPC); a
-  /// tick that a collection or an idle trim may have passed before the
-  /// registration landed is redrawn.
+  /// Ticks a stab time and enters it in reader_stabs_; UnregisterStab
+  /// removes one entry.
   Timestamp RegisterStab();
-  /// Removes one registration of `stab`.
   void UnregisterStab(Timestamp stab);
 
   /// Minimum over bound components of a wall.
   static Timestamp WallMin(const TimeWall& wall);
   /// Caller holds the structure gate (shared) and wall_mu_; takes each
   /// class shard briefly.
-  Timestamp ComputeSafeGcHorizon(Timestamp now) const;
+  Timestamp ComputeSafeGcHorizon() const;
   /// Idle-point history trim; caller holds the structure gate (shared).
-  /// Stands down while the reader registry is not empty.
   void MaybeTrimHistory();
   /// Announces a finished update transaction to wall computations.
   void SignalFinishEvent();
@@ -516,14 +491,13 @@ class HddController : public ConcurrencyController {
 
   /// Walls, their pins and the reader registry. walls_ is append-only
   /// (stable addresses); wall_pins_ maps a pinned wall to the number of
-  /// read-only transactions currently reading under it. reader_stabs_
-  /// holds the stab times of live readers no class table shows (a hosted
-  /// reader's I(t), each in-flight wall computation's anchor, the open
-  /// epoch's anchor). last_gc_horizon_ is the highest horizon ever passed
-  /// to garbage collection; AS-OF transactions targeting walls below it
-  /// are rejected (their versions may be gone). stab_floor_ is one past
-  /// the clock reading of the last collection or idle trim: a stab drawn
-  /// below it may have been passed unseen, so RegisterStab redraws it.
+  /// read-only transactions currently reading under it; reader_stabs_
+  /// holds live readers' stab times (see ComputeSafeGcHorizon).
+  /// last_gc_horizon_ is the highest horizon ever passed to garbage
+  /// collection; AS-OF transactions targeting walls below it are rejected
+  /// (their versions may be gone). stab_floor_ is past the clock reading
+  /// of the last collection or idle trim; RegisterStab redraws a stab
+  /// below it, which that cut may have passed unseen.
   mutable std::mutex wall_mu_;
   std::deque<TimeWall> walls_;
   std::unordered_map<const TimeWall*, int> wall_pins_;
@@ -550,10 +524,9 @@ class HddController : public ConcurrencyController {
   std::mutex restructure_mu_;
 
   /// Current epoch (nullptr between epochs). Taken by BeginEpoch,
-  /// BeginBatch, EndEpoch and a wall computation's anchor clamp (which
-  /// nests the wall mutex inside it); never held across a wait or a
-  /// shard latch. Readers on the data path reach the context through
-  /// their TxnRuntime's shared_ptr instead.
+  /// BeginBatch, EndEpoch and a wall computation's anchor clamp; never
+  /// held across a wait or a shard latch. Readers on the data path reach
+  /// the context through their TxnRuntime's shared_ptr instead.
   mutable std::mutex epoch_mu_;
   std::shared_ptr<EpochContext> current_epoch_;
   std::atomic<EpochId> next_epoch_id_{1};

@@ -158,13 +158,10 @@ std::string CheckRecordedHistory(
     return "serial witness is not monoversion-consistent (not 1SR)";
   }
 
-  // 3. Bound replay against the committed writes of the history: the
-  // version a bounded read saw must be the latest committed write below
-  // its bound (the initial version, order key 0, when there is none) — no
-  // transaction may ever have committed a version below a bound that was
-  // already served. The history, not the chains, is the reference:
-  // garbage collection may prune a chain below bounds no live reader
-  // still needs. The final chains must still end in the history's last
+  // 3. Bound replay against the history's committed writes (the initial
+  // version has order key 0): no transaction may ever have committed a
+  // version below a bound that was already served. Not against the
+  // chains, which GC may prune; those must still end in the last
   // committed write of each granule.
   if (replay_bounds) {
     std::map<std::pair<SegmentId, std::uint32_t>, std::set<Timestamp>> written;
@@ -205,17 +202,13 @@ std::string CheckRecordedHistory(
       }
     }
     for (SegmentId s = 0; s < db.num_segments(); ++s) {
-      const Segment& segment = db.segment(s);
-      for (std::uint32_t i = 0; i < segment.size(); ++i) {
-        const Version* tip = segment.granule(i).LatestCommitted();
-        const Timestamp expected =
-            latest_below({s, i}, kTimestampInfinity);
-        if (tip == nullptr || tip->order_key != expected) {
-          std::ostringstream msg;
-          msg << "granule (" << s << "," << i << ") ends in committed "
-              << "version " << (tip == nullptr ? 0 : tip->order_key)
-              << " but the history's last committed write is " << expected;
-          return msg.str();
+      for (std::uint32_t i = 0; i < db.segment(s).size(); ++i) {
+        const Version* tip = db.segment(s).granule(i).LatestCommitted();
+        const Timestamp last = latest_below({s, i}, kTimestampInfinity);
+        if (tip == nullptr || tip->order_key != last) {
+          return "granule (" + std::to_string(s) + "," + std::to_string(i) +
+                 ") does not end in its last committed write " +
+                 std::to_string(last);
         }
       }
     }

@@ -100,18 +100,16 @@ ExploreReport ExploreBoundedSchedules(SimScheduler::Options base,
 ///   2. replaying its topological order as a serial schedule on a
 ///      single-version store reproduces every read (the 1SR witness);
 ///   3. if `replay_bounds`: every Protocol A/C read's recorded bound,
-///      replayed against the history's committed writes, selects exactly
+///      replayed against the history's COMMITTED WRITES, selects exactly
 ///      the version the read saw (no version ever committed below a
-///      served bound); update-txn bounds never exceed the reader's init
-///      timestamp; and each granule's final chain ends in the history's
-///      last committed write;
+///      served bound), update-txn bounds never exceed the reader's init
+///      timestamp, and every final chain ends in its last committed write;
 ///   4. also under `replay_bounds`: read-only transactions used one bound
 ///      per segment and saw one version per granule (consistent-cut
 ///      shape). Both bound checks apply only to bound-carrying (HDD)
 ///      histories.
 /// Returns "" on success, else a description of the first violation.
-/// Garbage collection during the run is fine: only the chains' committed
-/// tips are consulted, and GC never prunes those.
+/// GC may run during the run: it never prunes a chain's committed tip.
 std::string CheckSimHistory(const ConcurrencyController& cc, Database& db,
                             bool replay_bounds);
 

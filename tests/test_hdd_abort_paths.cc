@@ -229,6 +229,27 @@ TEST_F(HddAbortPathsTest, GcKeepsAHostedReadersBound) {
   ASSERT_TRUE(cc_->Commit(*ro).ok());
 }
 
+// An open epoch serves Protocol A bounds at its anchor m_e, below every
+// batch I(t): a collection while the epoch is open must not pass m_e,
+// even when every transaction that straddled m_e has finished.
+TEST_F(HddAbortPathsTest, GcKeepsAnOpenEpochsBounds) {
+  CommitEvent(1);
+  auto epoch = cc_->BeginEpoch();
+  ASSERT_TRUE(epoch.ok());
+  auto writer = cc_->BeginBatch(*epoch, {{.txn_class = 0}});
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(cc_->Write((*writer)[0], kEvent0, 2).ok());
+  ASSERT_TRUE(cc_->Commit((*writer)[0]).ok());
+  auto reader = cc_->BeginBatch(*epoch, {{.txn_class = 1}});
+  ASSERT_TRUE(reader.ok());
+  (void)cc_->CollectGarbage();
+  auto value = cc_->Read((*reader)[0], kEvent0);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 1);  // the epoch's bound predates the batch write
+  ASSERT_TRUE(cc_->Commit((*reader)[0]).ok());
+  ASSERT_TRUE(cc_->EndEpoch(*epoch).ok());
+}
+
 TEST_F(HddAbortPathsTest, AbortPathsLeaveMetricsAndHistoryConsistent) {
   auto a = cc_->Begin({.txn_class = 0});
   ASSERT_TRUE(a.ok());

@@ -16,7 +16,8 @@
 // seed — a harness that cannot see the mutation is broken.
 //
 // Environment knobs (also used by ci/check.sh):
-//   HDD_SIM_SEEDS           number of seeds in the big HDD sweep (default 2000)
+//   HDD_SIM_SEEDS           number of seeds in the big HDD sweep (default
+//                           2000); the GC sweep runs a quarter per driver
 //   HDD_SIM_FIRST_SEED      first seed of every sweep (default 1)
 //   HDD_SIM_REDECOMP_SEEDS  seeds in the online re-decomposition drift
 //                           sweep (default 500; the crash/epoch/canary
