@@ -404,13 +404,20 @@ Result<std::vector<TxnDescriptor>> HddController::BeginBatch(
 }
 
 Status HddController::EndEpoch(const EpochHandle& epoch) {
-  std::lock_guard<std::mutex> eg(epoch_mu_);
-  if (current_epoch_ != nullptr && current_epoch_->id == epoch.id) {
+  {
+    std::lock_guard<std::mutex> eg(epoch_mu_);
+    if (current_epoch_ == nullptr || current_epoch_->id != epoch.id) {
+      return Status::OK();
+    }
     UnregisterStab(current_epoch_->anchor);
     current_epoch_.reset();
     metrics_.epochs.Add(1);
     HDD_TRACE_INSTANT("hdd", "epoch_end");
   }
+  // The registered anchor held the idle trim off through the epoch's last
+  // finish, so closing the epoch is its idle point.
+  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  MaybeTrimHistory();
   return Status::OK();
 }
 

@@ -158,6 +158,23 @@ TEST_F(HddExtensionsTest, IdlePointTrimsHistory) {
   EXPECT_LE(cc_->ActivityHistorySize(), 1u);
 }
 
+// An open epoch's bounds are evaluated at its anchor, below the clock, so
+// the trim stands down until EndEpoch and runs there: epoch-mode history
+// stays bounded.
+TEST_F(HddExtensionsTest, EndEpochTrimsHistory) {
+  auto epoch = cc_->BeginEpoch();
+  ASSERT_TRUE(epoch.ok());
+  auto batch = cc_->BeginBatch(
+      *epoch, std::vector<TxnOptions>(10, TxnOptions{.txn_class = 0}));
+  ASSERT_TRUE(batch.ok());
+  for (const TxnDescriptor& txn : *batch) {
+    ASSERT_TRUE(cc_->Commit(txn).ok());
+  }
+  EXPECT_EQ(cc_->ActivityHistorySize(), 10u);
+  ASSERT_TRUE(cc_->EndEpoch(*epoch).ok());
+  EXPECT_LE(cc_->ActivityHistorySize(), 1u);
+}
+
 TEST_F(HddExtensionsTest, NoTrimWhileTransactionsActive) {
   HddControllerOptions options;
   options.auto_trim_history = true;
