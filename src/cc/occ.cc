@@ -44,6 +44,13 @@ Result<Value> Occ::Read(const TxnDescriptor& txn, GranuleRef granule) {
   }
   const Version* version = db_->granule(granule).LatestCommitted();
   assert(version != nullptr);
+  // A version committed after Begin (commit ticks are ordered with Begin's
+  // under mu_) dooms the transaction: validation would find its writer.
+  // Abort now, so every value a live transaction sees is the state at its
+  // Begin and the body never computes on a mix of two states.
+  if (version->wts > runtime->descriptor.init_ts) {
+    return Status::Aborted("OCC: read of a version committed after begin");
+  }
   runtime->read_set.insert(granule);
   // Deferred recording: if the transaction later aborts (validation or
   // user), its reads never become part of the audited schedule — exactly

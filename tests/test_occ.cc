@@ -59,6 +59,21 @@ TEST_F(OccTest, ValidationAbortsStaleReader) {
   EXPECT_TRUE(CheckSerializability(cc.recorder()).serializable);
 }
 
+TEST_F(OccTest, ReadOfVersionCommittedAfterBeginAborts) {
+  // t1 reads x, then y after t2 committed both: serving t2's y next to the
+  // pre-t2 x would hand t1's body a state no serial order produces.
+  Occ cc(&db_, &clock_);
+  auto t1 = cc.Begin({});
+  ASSERT_TRUE(cc.Read(*t1, kX).ok());
+  auto t2 = cc.Begin({});
+  ASSERT_TRUE(cc.Write(*t2, kX, 4).ok());
+  ASSERT_TRUE(cc.Write(*t2, kY, 4).ok());
+  ASSERT_TRUE(cc.Commit(*t2).ok());
+  EXPECT_EQ(cc.Read(*t1, kY).status().code(), StatusCode::kAborted);
+  ASSERT_TRUE(cc.Abort(*t1).ok());
+  EXPECT_TRUE(CheckSerializability(cc.recorder()).serializable);
+}
+
 TEST_F(OccTest, DisjointConcurrentTxnsBothCommit) {
   Occ cc(&db_, &clock_);
   auto t1 = cc.Begin({});
