@@ -44,10 +44,8 @@ Result<Value> Occ::Read(const TxnDescriptor& txn, GranuleRef granule) {
   }
   const Version* version = db_->granule(granule).LatestCommitted();
   assert(version != nullptr);
-  // A version committed after Begin (commit ticks are ordered with Begin's
-  // under mu_) dooms the transaction: validation would find its writer.
-  // Abort now, so every value a live transaction sees is the state at its
-  // Begin and the body never computes on a mix of two states.
+  // Committed after Begin (both tick under mu_): validation would abort
+  // us, so abort now; a live body only ever sees the state at its Begin.
   if (version->wts > runtime->descriptor.init_ts) {
     return Status::Aborted("OCC: read of a version committed after begin");
   }

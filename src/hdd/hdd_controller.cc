@@ -183,18 +183,17 @@ Result<TxnDescriptor> HddController::Begin(const TxnOptions& options) {
           return Status::InvalidArgument(
               "as_of_wall cannot combine with a hosted read scope");
         }
-        // Hosted (§5.0): every read evaluates the link functions at I(t),
-        // and no class table shows this transaction — I(t) is a stab in
-        // the reader registry until the finish step.
-        active_txns_.fetch_add(1);
-        runtime.descriptor.init_ts = RegisterStab();
       } else {
         // Protocol C: the whole transaction reads under the one wall it
         // pins here, so it sees one consistent cut.
         HDD_ASSIGN_OR_RETURN(runtime.wall, PinWall(gate, options.as_of_wall));
-        active_txns_.fetch_add(1);
-        runtime.descriptor.init_ts = clock_->Tick();
       }
+      active_txns_.fetch_add(1);
+      // A hosted reader (§5.0) evaluates the link functions at I(t), and no
+      // class table shows it: I(t) is a stab in the reader registry until
+      // the finish step.
+      runtime.descriptor.init_ts =
+          runtime.wall != nullptr ? clock_->Tick() : RegisterStab();
     } else {
       if (options.txn_class < 0 || options.txn_class >= num_classes_) {
         return Status::InvalidArgument(
@@ -404,20 +403,17 @@ Result<std::vector<TxnDescriptor>> HddController::BeginBatch(
 }
 
 Status HddController::EndEpoch(const EpochHandle& epoch) {
-  {
-    std::lock_guard<std::mutex> eg(epoch_mu_);
-    if (current_epoch_ == nullptr || current_epoch_->id != epoch.id) {
-      return Status::OK();
-    }
+  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::unique_lock<std::mutex> eg(epoch_mu_);
+  if (current_epoch_ != nullptr && current_epoch_->id == epoch.id) {
     UnregisterStab(current_epoch_->anchor);
     current_epoch_.reset();
     metrics_.epochs.Add(1);
     HDD_TRACE_INSTANT("hdd", "epoch_end");
+    eg.unlock();
+    // The anchor held the idle trim off through the epoch's last finish.
+    MaybeTrimHistory();
   }
-  // The registered anchor held the idle trim off through the epoch's last
-  // finish, so closing the epoch is its idle point.
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
-  MaybeTrimHistory();
   return Status::OK();
 }
 
@@ -1689,9 +1685,7 @@ Status HddController::PrepareExternal(
   // a failed prepare with AbortExternal, not by stack unwinding here.
   SimYield("hdd/dist/prepare", /*interruptible=*/false);
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
-  if (segment < 0 || segment >= static_cast<int>(class_of_segment_.size())) {
-    return Status::InvalidArgument("no such segment");
-  }
+  HDD_RETURN_IF_ERROR(CheckSegments({segment}, "segment"));
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
   std::uint64_t prepare_ticket = 0;
   {
@@ -1748,9 +1742,7 @@ Status HddController::CommitExternal(SegmentId segment, TxnId txn,
   // at the coordinator).
   SimYield("hdd/dist/commit_ext", /*interruptible=*/false);
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
-  if (segment < 0 || segment >= static_cast<int>(class_of_segment_.size())) {
-    return Status::InvalidArgument("no such segment");
-  }
+  HDD_RETURN_IF_ERROR(CheckSegments({segment}, "segment"));
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
   std::uint64_t commit_ticket = 0;
   {
@@ -1773,9 +1765,7 @@ Status HddController::AbortExternal(SegmentId segment, TxnId txn,
                                     Timestamp init_ts) {
   SimYield("hdd/dist/abort_ext", /*interruptible=*/false);
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
-  if (segment < 0 || segment >= static_cast<int>(class_of_segment_.size())) {
-    return Status::InvalidArgument("no such segment");
-  }
+  HDD_RETURN_IF_ERROR(CheckSegments({segment}, "segment"));
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
   {
     std::lock_guard<std::mutex> shard_lock(shard->mu);

@@ -35,10 +35,9 @@ struct HddControllerOptions {
   ProtocolBEngine protocol_b = ProtocolBEngine::kMvto;
 
   /// Trim every class's finished-transaction history whenever the system
-  /// reaches an idle point (no transaction of any kind in flight and an
-  /// empty reader registry; an open epoch's anchor is in it, so epoch mode
-  /// reaches its idle point at EndEpoch). At an idle point every future
-  /// activity-link chain provably stays above the current clock, so
+  /// reaches an idle point (no transaction in flight, no registered reader
+  /// stab; epoch mode reaches one at EndEpoch). At an idle point every
+  /// future activity-link chain provably stays above the current clock, so
   /// records finished earlier can never be stabbed again: trimming is
   /// exact, not approximate.
   bool auto_trim_history = true;
