@@ -70,7 +70,9 @@ struct WalMetrics {
   Counter& records_appended = registry.GetCounter("records_appended");
   Counter& bytes_appended = registry.GetCounter("bytes_appended");
   Counter& fsyncs = registry.GetCounter("fsyncs");
-  /// Commits that waited for durability (every acked update commit).
+  /// Commits that waited for durability, read-only ones included: one per
+  /// blocking wait or parked ack (WalManager::DeferWait), however many
+  /// commits a sync covers.
   Counter& commit_waits = registry.GetCounter("commit_waits");
   /// Group-commit leader rounds, i.e. fsync batches.
   Counter& group_commit_batches = registry.GetCounter("group_commit_batches");

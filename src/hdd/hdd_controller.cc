@@ -1073,7 +1073,18 @@ Status HddController::Commit(const TxnDescriptor& txn) {
     // acked query results crash-proof.
     HDD_ASSIGN_OR_RETURN(commit_ticket, wal_->LogReadBound(clock_->Now()));
   }
-  HDD_RETURN_IF_ERROR(AwaitDurable(gate, commit_ticket));
+  // Inside a DeferredCommitWait scope (the served per-txn path) the ack,
+  // not this thread, waits for the sync: the ticket is parked and the
+  // transaction finishes now. Finishing before the sync makes nothing new
+  // visible. InstallCommit already marked the versions committed and
+  // ended the transaction in the activity table, and a reader of those
+  // versions draws a higher ticket, so its own ack waits for this sync.
+  // FinishTxn only releases this transaction's wall pin or stab (its
+  // reads are done) and does bookkeeping: outcome, counters, active count
+  // and the idle trim.
+  if (commit_ticket == 0 || !wal_->DeferWait(commit_ticket)) {
+    HDD_RETURN_IF_ERROR(AwaitDurable(gate, commit_ticket));
+  }
   FinishTxn(*runtime, TxnState::kCommitted);
   return Status::OK();
 }

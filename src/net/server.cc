@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "engine/epoch_executor.h"
 #include "engine/executor.h"
+#include "wal/wal_manager.h"
 
 namespace hdd {
 
@@ -62,6 +64,7 @@ HddServer::HddServer(ConcurrencyController* cc, const ServerOptions& options,
   m_connections_ = &metrics_->GetGauge("net_connections");
   m_queue_depth_ = &metrics_->GetGauge("net_queue_depth");
   m_request_us_ = &metrics_->GetHistogram("net_request_us");
+  m_ack_wait_us_ = &metrics_->GetHistogram("net_ack_wait_us");
   m_class_committed_.resize(queues_.size());
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     const std::string label =
@@ -115,6 +118,12 @@ Status HddServer::Start() {
   if (options_.backend == ServerOptions::Backend::kEpoch) {
     worker_threads_.emplace_back([this] { EpochBatcherThread(); });
   } else {
+    if (!options_.shard_execute) {
+      wal_ = cc_->db().wal();
+      if (wal_ != nullptr) {
+        completion_thread_ = std::thread([this] { CompletionThread(); });
+      }
+    }
     for (int i = 0; i < options_.num_workers; ++i) {
       worker_threads_.emplace_back([this] { WorkerThread(); });
     }
@@ -173,6 +182,14 @@ void HddServer::Stop() {
   dispatch_cv_.notify_all();
   for (std::thread& t : worker_threads_) t.join();
   worker_threads_.clear();
+  if (completion_thread_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(park_mu_);
+      completion_stop_ = true;
+    }
+    park_cv_.notify_all();
+    completion_thread_.join();
+  }
   io_stop_.store(true, std::memory_order_release);
   loop_.Wakeup();
   for (std::thread& t : io_threads_) t.join();
@@ -529,21 +546,81 @@ void HddServer::WorkerThread() {
     }
     m_queue_depth_->Sub();
     ProgramResult result;
+    std::uint64_t ticket = 0;
     if (options_.shard_execute) {
       ServerOptions::ShardOutcome out = options_.shard_execute(item.submit);
       result.committed = out.committed;
       result.failed = !out.committed;
       result.aborted_attempts = out.aborted_attempts;
       *item.values = std::move(out.values);
+    } else if (wal_ != nullptr) {
+      DeferredCommitWait deferred;
+      result = RunProgram(*cc_, item.program, options_.max_retries);
+      ticket = deferred.ticket();
     } else {
       result = RunProgram(*cc_, item.program, options_.max_retries);
     }
-    FinishItem(item, result);
-    {
-      std::lock_guard<std::mutex> lock(dispatch_mu_);
-      --executing_;
+    if (ticket == 0) {
+      FinishItem(item, result);
+      ItemDone(1);
+      continue;
     }
-    dispatch_cv_.notify_all();  // Stop() polls queued_/executing_
+    // Committed, not yet durable: the completion thread answers it.
+    {
+      std::lock_guard<std::mutex> lock(park_mu_);
+      parked_.push_back(ParkedAck{std::move(item), result, ticket,
+                                  std::chrono::steady_clock::now()});
+    }
+    park_cv_.notify_one();
+  }
+}
+
+void HddServer::ItemDone(std::uint64_t count) {
+  {
+    std::lock_guard<std::mutex> lock(dispatch_mu_);
+    executing_ -= count;
+  }
+  dispatch_cv_.notify_all();  // Stop() polls queued_/executing_
+}
+
+void HddServer::CompletionThread() {
+  std::vector<ParkedAck> answer;
+  for (;;) {
+    std::uint64_t target = 0;
+    {
+      std::unique_lock<std::mutex> lock(park_mu_);
+      park_cv_.wait(lock,
+                    [this] { return !parked_.empty() || completion_stop_; });
+      // Stop() joins the workers and drains executing_ first, so a stop
+      // request never finds a parked response left to answer.
+      if (parked_.empty()) return;
+      for (const ParkedAck& p : parked_) target = std::max(target, p.ticket);
+    }
+    // The group commit's pile-in pause and byte threshold still set the
+    // batching: this thread is one more waiter in the same gate.
+    const Status synced = wal_->AwaitParked(target);
+    const std::uint64_t stable = wal_->StableTicket();
+    {
+      std::lock_guard<std::mutex> lock(park_mu_);
+      auto ready = std::partition(
+          parked_.begin(), parked_.end(), [&](const ParkedAck& p) {
+            return synced.ok() && p.ticket > stable;
+          });
+      std::move(ready, parked_.end(), std::back_inserter(answer));
+      parked_.erase(ready, parked_.end());
+    }
+    const auto now = std::chrono::steady_clock::now();
+    for (ParkedAck& p : answer) {
+      m_ack_wait_us_->Record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(now -
+                                                                p.parked_at)
+              .count()));
+      // Installed but not durable: never acked as committed.
+      if (!synced.ok()) p.result.committed = false;
+      FinishItem(p.item, p.result);
+    }
+    ItemDone(answer.size());
+    answer.clear();
   }
 }
 
@@ -579,11 +656,7 @@ void HddServer::EpochBatcherThread() {
       FinishItem(batch[index], result);
     };
     RunWorkloadEpochs(*cc_, workload, batch.size(), eo);
-    {
-      std::lock_guard<std::mutex> lock(dispatch_mu_);
-      executing_ -= batch.size();
-    }
-    dispatch_cv_.notify_all();
+    ItemDone(batch.size());
   }
 }
 

@@ -23,6 +23,8 @@
 
 namespace hdd {
 
+class WalManager;
+
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; the bound port is available via port() after Start().
@@ -88,6 +90,17 @@ struct ServerOptions {
 /// (RunProgram / RunWorkloadEpochs) through a worker pool behind per-class
 /// admission control.
 ///
+/// Durable serving parks the ack, not the worker. On the per-txn backend
+/// without shard_execute, over a controller whose database has a WAL
+/// attached, each worker runs its program inside a DeferredCommitWait
+/// scope (wal/wal_manager.h): the commit installs, draws its WAL ticket
+/// and returns, and the worker parks the response and takes the next
+/// request. One completion thread waits in the WAL's group commit for the
+/// highest parked ticket and answers every parked request the synced
+/// frontier has passed; if the sync fails (the WAL's error is sticky) it
+/// answers them all as failed. A commit that is not durable is never
+/// acked. The epoch backend and shard_execute keep the blocking commit.
+///
 /// Metrics (all through the MetricsRegistry passed in):
 ///   counters   net_accepted, net_closed, net_frames,
 ///              net_protocol_errors, net_admitted, net_shed,
@@ -95,7 +108,8 @@ struct ServerOptions {
 ///              net_class_<c>_{admitted,shed,committed} per class
 ///   gauges     net_connections, net_queue_depth,
 ///              net_class_<c>_inflight per class
-///   histogram  net_request_us (admission to response enqueue)
+///   histograms net_request_us (admission to response enqueue),
+///              net_ack_wait_us (a parked response: park to answer)
 class HddServer {
  public:
   /// `cc` and `metrics` are borrowed and must outlive the server.
@@ -106,12 +120,14 @@ class HddServer {
   HddServer(const HddServer&) = delete;
   HddServer& operator=(const HddServer&) = delete;
 
-  /// Binds, listens and spawns the IO + worker threads.
+  /// Binds, listens and spawns the IO + worker threads (and the
+  /// completion thread when responses are parked, see the class comment).
   Status Start();
 
   /// Graceful shutdown: stop accepting, refuse new admissions, drain
-  /// already-admitted programs and flush their responses, then join all
-  /// threads and close every connection. Idempotent.
+  /// already-admitted programs and flush their responses (parked ones
+  /// included), then join all threads and close every connection.
+  /// Idempotent.
   void Stop();
 
   std::uint16_t port() const { return port_; }
@@ -143,9 +159,20 @@ class HddServer {
     std::chrono::steady_clock::time_point admitted_at;
   };
 
+  /// An executed request whose response waits for its commit's WAL
+  /// ticket to be synced.
+  struct ParkedAck {
+    WorkItem item;
+    ProgramResult result;
+    std::uint64_t ticket = 0;
+    std::chrono::steady_clock::time_point parked_at;
+  };
+
   void IoThread();
   void WorkerThread();
   void EpochBatcherThread();
+  /// Answers parked responses as the WAL's synced frontier passes them.
+  void CompletionThread();
 
   void HandleAccept();
   void HandleConnEvent(std::uint64_t id, std::uint32_t events);
@@ -164,8 +191,10 @@ class HddServer {
   void CloseConn(const ConnPtr& conn);
   void Respond(const ConnPtr& conn, const ResponseMsg& msg);
 
-  /// Completion path shared by both backends.
+  /// Completion path shared by both backends and the parked responses.
   void FinishItem(const WorkItem& item, const ProgramResult& result);
+  /// Ends an item's execution (it no longer holds Stop()'s drain).
+  void ItemDone(std::uint64_t count);
 
   bool PopItemLocked(WorkItem* item);
   std::size_t QueueIndex(ClassId cls) const;
@@ -196,10 +225,20 @@ class HddServer {
   std::vector<std::uint32_t> deficits_;
   std::size_t drr_cursor_ = 0;
   std::size_t queued_ = 0;
+  // Popped and not yet answered; parked responses count until answered.
   std::uint64_t executing_ = 0;
+
+  // Parked responses (see the class comment). wal_ is set by Start() only
+  // when workers park; the completion thread runs exactly then.
+  WalManager* wal_ = nullptr;
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  std::vector<ParkedAck> parked_;
+  bool completion_stop_ = false;
 
   std::vector<std::thread> io_threads_;
   std::vector<std::thread> worker_threads_;
+  std::thread completion_thread_;
 
   // Flat metric handles (per-class handles live in admission_).
   Counter* m_accepted_ = nullptr;
@@ -213,6 +252,7 @@ class HddServer {
   Gauge* m_connections_ = nullptr;
   Gauge* m_queue_depth_ = nullptr;
   Histogram* m_request_us_ = nullptr;
+  Histogram* m_ack_wait_us_ = nullptr;
   std::vector<Counter*> m_class_committed_;
 };
 

@@ -1,6 +1,7 @@
 #include "storage/granule.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace hdd {
 
@@ -9,6 +10,8 @@ namespace {
 bool OrderKeyLess(const Version& v, std::uint64_t key) {
   return v.order_key < key;
 }
+
+bool WtsLess(const Version& v, Timestamp ts) { return v.wts < ts; }
 
 }  // namespace
 
@@ -23,6 +26,18 @@ Granule::Granule(Value initial) {
 }
 
 const Version* Granule::LatestCommittedBefore(Timestamp bound) const {
+  if (wts_ordered_) {
+    // Step back from the first version at or past the bound to the newest
+    // committed one. Below a Protocol A bound every version is committed
+    // (Theorem 1), so there the first step ends it.
+    auto it = std::lower_bound(versions_.begin(), versions_.end(), bound,
+                               WtsLess);
+    while (it != versions_.begin()) {
+      --it;
+      if (it->committed) return &*it;
+    }
+    return nullptr;
+  }
   const Version* best = nullptr;
   for (const Version& v : versions_) {
     if (v.committed && v.wts < bound &&
@@ -38,6 +53,11 @@ const Version* Granule::LatestCommitted() const {
 }
 
 Version* Granule::VersionBefore(Timestamp ts) {
+  if (wts_ordered_) {
+    auto it =
+        std::lower_bound(versions_.begin(), versions_.end(), ts, WtsLess);
+    return it == versions_.begin() ? nullptr : &*std::prev(it);
+  }
   Version* best = nullptr;
   for (Version& v : versions_) {
     if (v.wts < ts && (best == nullptr || v.wts > best->wts)) best = &v;
@@ -75,6 +95,7 @@ Status Granule::Insert(Version v) {
   if (it != versions_.end() && it->order_key == v.order_key) {
     return Status::AlreadyExists("duplicate version order key");
   }
+  wts_ordered_ = wts_ordered_ && v.order_key == v.wts;
   versions_.insert(it, v);
   return Status::OK();
 }
@@ -117,6 +138,9 @@ Status Granule::RestoreVersions(std::vector<Version> versions) {
     }
   }
   versions_ = std::move(versions);
+  wts_ordered_ = std::all_of(
+      versions_.begin(), versions_.end(),
+      [](const Version& v) { return v.order_key == v.wts; });
   return Status::OK();
 }
 

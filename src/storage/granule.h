@@ -26,7 +26,9 @@ class Granule {
 
   /// Latest committed version with `wts < bound` — the paper's
   ///   Max(TS(d^v)) s.t. TS(d^v) < bound
-  /// served by Protocols A and C. Returns nullptr when none exists.
+  /// served by Protocols A and C. Returns nullptr when none exists. A
+  /// binary search on a wts-ordered chain (see wts_ordered_), a scan
+  /// otherwise.
   const Version* LatestCommittedBefore(Timestamp bound) const;
 
   /// Latest committed version overall; nullptr when none.
@@ -34,6 +36,7 @@ class Granule {
 
   /// Version with the largest wts strictly below `ts`, committed or not —
   /// what MVTO must read (possibly waiting for commit). nullptr if none.
+  /// Searched like LatestCommittedBefore.
   Version* VersionBefore(Timestamp ts);
 
   /// Version with the largest order_key (the tip of the chain).
@@ -42,7 +45,10 @@ class Granule {
 
   /// Version with the largest wts at or below any bound among *all*
   /// versions, used to detect late writes under MVTO: returns the largest
-  /// registered rts among versions with wts < ts.
+  /// registered rts among versions with wts < ts. A scan even on a
+  /// wts-ordered chain: the maximum runs over the whole prefix below `ts`,
+  /// not one version, and narrowing it to the nearest version would change
+  /// which writes abort.
   Timestamp MaxRtsOfVersionsBefore(Timestamp ts) const;
 
   /// Smallest wts strictly greater than `ts` among committed versions;
@@ -77,6 +83,12 @@ class Granule {
 
  private:
   std::vector<Version> versions_;  // sorted by order_key ascending
+  /// True while every version was inserted with order_key == wts (HDD,
+  /// MVTO, TO, SDD-1 and recovery key versions by I(t)), so the chain is
+  /// also sorted by wts and lookups by wts may binary-search. Cleared for
+  /// good by the first other insert (2PL, serial and OCC key by write
+  /// sequence and stamp wts at commit); RestoreVersions recomputes it.
+  bool wts_ordered_ = true;
 };
 
 }  // namespace hdd

@@ -11,7 +11,6 @@ Status GroupCommit::AwaitDurable(
     std::uint64_t ticket, const std::function<Result<SyncBatch>()>& sync_all,
     const std::function<std::uint64_t()>& pending_bytes) {
   if (params_.mode == WalSyncMode::kNone) return Status::OK();
-  metrics_->commit_waits.Add(1);
 
   if (params_.mode == WalSyncMode::kPerCommit) {
     // The baseline everyone pays without group commit: one (serialized)

@@ -39,6 +39,10 @@ struct SyncBatch {
 /// leader role instead rotates among the committing transactions
 /// themselves (leader/follower group commit), and the flush-interval wait
 /// is a SimSleep — one more deterministic reschedule under simulation.
+/// The served per-txn path's completion thread (net/server.h) lives
+/// outside the sim and is one more waiter here, not a second sync driver:
+/// it waits for its parked commits' highest ticket through this same
+/// leader/follower gate, pile-in pause and byte threshold included.
 class GroupCommit {
  public:
   struct Params {

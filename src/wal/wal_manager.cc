@@ -4,6 +4,17 @@
 
 namespace hdd {
 
+namespace {
+
+// The DeferredCommitWait open on this thread, if any.
+thread_local DeferredCommitWait* open_deferral = nullptr;
+
+}  // namespace
+
+DeferredCommitWait::DeferredCommitWait() { open_deferral = this; }
+
+DeferredCommitWait::~DeferredCommitWait() { open_deferral = nullptr; }
+
 std::string SegmentLogName(SegmentId segment) {
   return "seg-" + std::to_string(segment) + ".log";
 }
@@ -125,10 +136,32 @@ std::uint64_t WalManager::PendingBytes() const {
   return total;
 }
 
+bool WalManager::SyncsBeforeAck() const {
+  return options_.group.mode != WalSyncMode::kNone &&
+         !options_.mutation_skip_commit_sync;
+}
+
 Status WalManager::WaitDurable(std::uint64_t ticket) {
-  if (options_.mutation_skip_commit_sync) return Status::OK();
+  if (!SyncsBeforeAck()) return Status::OK();
+  metrics_.commit_waits.Add(1);
+  return AwaitParked(ticket);
+}
+
+bool WalManager::DeferWait(std::uint64_t ticket) {
+  if (open_deferral == nullptr) return false;
+  open_deferral->ticket_ = ticket;
+  if (SyncsBeforeAck()) metrics_.commit_waits.Add(1);
+  return true;
+}
+
+Status WalManager::AwaitParked(std::uint64_t ticket) {
+  if (!SyncsBeforeAck()) return Status::OK();
   return gate_.AwaitDurable(
       ticket, [this] { return SyncAll(); }, [this] { return PendingBytes(); });
+}
+
+std::uint64_t WalManager::StableTicket() const {
+  return SyncsBeforeAck() ? gate_.stable_ticket() : CurrentTicket();
 }
 
 Status WalManager::AwaitReadStable() {

@@ -38,6 +38,32 @@ struct WalOptions {
   bool mutation_skip_commit_sync = false;
 };
 
+/// A per-thread scope in which a local commit parks its durability wait
+/// instead of blocking (commit pipelining; cf. flush pipelining in Aether,
+/// Johnson et al., VLDB 2010). While one is open on a thread,
+/// HddController::Commit hands its WAL ticket to WalManager::DeferWait,
+/// which stores it here, and returns. The scope's owner must not answer
+/// the commit before WalManager::StableTicket() reaches ticket(). The
+/// served per-txn path is the one owner (net/server.h). 2PC votes and
+/// decisions, read barriers and checkpoints never consult the scope: what
+/// they send or write must not leave before the sync. Scopes do not nest.
+class DeferredCommitWait {
+ public:
+  DeferredCommitWait();
+  ~DeferredCommitWait();
+
+  DeferredCommitWait(const DeferredCommitWait&) = delete;
+  DeferredCommitWait& operator=(const DeferredCommitWait&) = delete;
+
+  /// Ticket a commit parked in this scope; 0 when none did (nothing was
+  /// logged, or the commit waited for itself).
+  std::uint64_t ticket() const { return ticket_; }
+
+ private:
+  friend class WalManager;
+  std::uint64_t ticket_ = 0;
+};
+
 /// The durability facade the controller talks to: one redo SegmentLog per
 /// segment behind a single global commit gate.
 ///
@@ -107,9 +133,25 @@ class WalManager {
   Result<std::uint64_t> LogReadBound(Timestamp now);
 
   /// Commit-wait: blocks (leader/follower group commit) until `ticket` is
-  /// durable. Call with NO latches held. Returns immediately under
-  /// WalSyncMode::kNone and under the canary mutation.
+  /// durable, counting one commit wait. Call with NO latches held. Returns
+  /// immediately under WalSyncMode::kNone and under the canary mutation.
   Status WaitDurable(std::uint64_t ticket);
+
+  /// WaitDurable's deferred form, for a local commit only: inside an open
+  /// DeferredCommitWait scope on this thread, parks `ticket` in the scope,
+  /// counts the commit wait and returns true without blocking. Returns
+  /// false, having done nothing, when no scope is open.
+  bool DeferWait(std::uint64_t ticket);
+
+  /// The wait of whoever answers parked commits: blocks like WaitDurable,
+  /// in the same group commit with the same pile-in pause, but counts no
+  /// commit wait, since each parked commit counted its own in DeferWait.
+  Status AwaitParked(std::uint64_t ticket);
+
+  /// Highest ticket an ack may pass: the group commit's synced frontier.
+  /// Under kNone and the canary mutation, which ack without a sync, it is
+  /// every ticket drawn so far.
+  std::uint64_t StableTicket() const;
 
   /// Read barrier for read-only transactions: waits until everything
   /// appended so far is durable. A read-only transaction acked after this
@@ -138,6 +180,8 @@ class WalManager {
 
   Result<std::uint64_t> AppendRecord(SegmentId segment,
                                      const WalRecord& record);
+  /// False under kNone and the canary mutation: commits ack unsynced.
+  bool SyncsBeforeAck() const;
   Result<SyncBatch> SyncAll();
   std::uint64_t PendingBytes() const;
 

@@ -1,21 +1,33 @@
 // End-to-end tests of the network front end: admission policy, the epoll
 // server against real loopback sockets, backpressure, overload shedding
-// (Protocol C first), graceful shutdown, and fd hygiene.
+// (Protocol C first), graceful shutdown, fd hygiene, and durable serving
+// (responses parked until the WAL's group commit syncs their commit).
 
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "engine/harness.h"
+#include "engine/synthetic_workload.h"
 #include "net/admission.h"
 #include "net/client.h"
 #include "net/loopback.h"
 #include "net/server.h"
 #include "obs/metrics_registry.h"
 #include "wal/log_format.h"
+#include "wal/wal_manager.h"
+#include "wal/wal_storage.h"
 
 namespace hdd {
 namespace {
@@ -413,6 +425,248 @@ TEST_F(NetServerTest, LoadDriverRoundTripAndGracefulStop) {
   server_->Stop();
   EXPECT_EQ(server_->connection_count(), 0u);
   EXPECT_EQ(metrics_.GetGauge("net_connections").Value(), 0u);
+}
+
+// An in-memory WAL storage whose Sync blocks while the test holds it, so
+// a test can watch what the server answers before the disk confirms.
+class HeldSyncStorage : public SimWalStorage {
+ public:
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+  Status Sync(const std::string& name) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return !held_; });
+    }
+    return SimWalStorage::Sync(name);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+};
+
+// A served HDD controller over a group-commit WAL on HeldSyncStorage.
+class DurableServerTest : public ::testing::Test {
+ protected:
+  static constexpr int kWorkers = 2;
+  static constexpr int kRequests = 6;  // more than kWorkers
+
+  void StartServer(WalOptions wal_options = {}) {
+    SyntheticWorkload workload(params_);
+    db_ = workload.MakeDatabase();
+    wal_options.group.mode = WalSyncMode::kGroupCommit;
+    Result<std::unique_ptr<WalManager>> wal =
+        WalManager::Open(&storage_, db_->num_segments(), wal_options);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    wal_ = std::move(*wal);
+    db_->AttachWal(wal_.get());
+    Result<HierarchySchema> schema = HierarchySchema::Create(workload.Spec());
+    ASSERT_TRUE(schema.ok()) << schema.status();
+    schema_.emplace(std::move(schema).value());
+    cc_ = CreateController(ControllerKind::kHdd, db_.get(), &clock_,
+                           &*schema_);
+    ServerOptions options;
+    options.num_workers = kWorkers;
+    options.num_classes = params_.depth;
+    server_ = std::make_unique<HddServer>(cc_.get(), options, &metrics_);
+    const Status started = server_->Start();
+    ASSERT_TRUE(started.ok()) << started;
+    ASSERT_TRUE(client_.Connect("127.0.0.1", server_->port()).ok());
+  }
+
+  void TearDown() override {
+    storage_.Release();  // a failed test must not leave Stop() waiting
+    server_.reset();
+  }
+
+  // Class 0 writes `value` to granule (0, g), then reads it back.
+  static RequestMsg Update(std::uint64_t id, std::uint32_t g, Value value) {
+    RequestMsg msg;
+    msg.submit.request_id = id;
+    msg.submit.txn_class = 0;
+    msg.submit.ops = {{WireOp::Kind::kWrite, {0, g}, value},
+                      {WireOp::Kind::kRead, {0, g}, 0}};
+    return msg;
+  }
+
+  static RequestMsg ReadOnly(std::uint64_t id, std::uint32_t g) {
+    RequestMsg msg;
+    msg.submit.request_id = id;
+    msg.submit.read_only = true;
+    msg.submit.ops = {{WireOp::Kind::kRead, {0, g}, 0}};
+    return msg;
+  }
+
+  std::uint64_t Commits() const { return cc_->metrics().commits.Value(); }
+
+  // Waits until the controller has committed `n` transactions in all.
+  bool WaitForCommits(std::uint64_t n) const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (Commits() < n) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  // True when a response reaches the client within `ms`.
+  bool AnswerArrivesWithin(int ms) {
+    pollfd pfd{client_.fd(), POLLIN, 0};
+    return ::poll(&pfd, 1, ms) > 0;
+  }
+
+  // Sends kRequests updates with the sync held and waits until every one
+  // is installed. Returns whether an answer reached the client within
+  // `wait_ms` more, before the sync was released — a durability
+  // violation, unless the WAL is told to skip its syncs.
+  bool AnsweredWithTheSyncHeld(int wait_ms) {
+    storage_.Hold();
+    const std::uint64_t before = Commits();
+    for (int i = 0; i < kRequests; ++i) {
+      EXPECT_TRUE(client_
+                      .Send(Update(static_cast<std::uint64_t>(i + 1),
+                                   static_cast<std::uint32_t>(i), 100 + i))
+                      .ok());
+    }
+    EXPECT_TRUE(WaitForCommits(before + kRequests));
+    return AnswerArrivesWithin(wait_ms);
+  }
+
+  // Receives `n` responses, keyed by request id.
+  std::map<std::uint64_t, ResponseMsg> Receive(int n) {
+    std::map<std::uint64_t, ResponseMsg> out;
+    for (int i = 0; i < n; ++i) {
+      Result<ResponseMsg> msg = client_.Recv();
+      EXPECT_TRUE(msg.ok()) << msg.status();
+      if (!msg.ok()) break;
+      EXPECT_EQ(msg->type, NetMsgType::kResult);
+      out[msg->request_id] = *msg;
+    }
+    return out;
+  }
+
+  std::uint64_t CounterValue(const char* name) {
+    return metrics_.GetCounter(name).Value();
+  }
+
+  SyntheticWorkloadParams params_;
+  HeldSyncStorage storage_;
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<WalManager> wal_;
+  LogicalClock clock_;
+  std::optional<HierarchySchema> schema_;
+  std::unique_ptr<ConcurrencyController> cc_;
+  MetricsRegistry metrics_;
+  std::unique_ptr<HddServer> server_;
+  SyncClient client_;
+};
+
+TEST_F(DurableServerTest, UpdatesInstallButAreAnsweredOnlyAfterTheSync) {
+  StartServer();
+  // Every update installed although the workers are fewer: none of them
+  // waits out the sync.
+  EXPECT_FALSE(AnsweredWithTheSyncHeld(200));
+  EXPECT_EQ(CounterValue("net_committed"), 0u);
+  storage_.Release();
+  const std::map<std::uint64_t, ResponseMsg> answers = Receive(kRequests);
+  ASSERT_EQ(answers.size(), static_cast<std::size_t>(kRequests));
+  for (const auto& [id, msg] : answers) {
+    EXPECT_TRUE(msg.committed) << "request " << id;
+    EXPECT_EQ(msg.values, std::vector<Value>{static_cast<Value>(99 + id)})
+        << "request " << id;
+  }
+  EXPECT_EQ(CounterValue("net_committed"),
+            static_cast<std::uint64_t>(kRequests));
+  // One commit wait per acked commit, however many syncs covered them.
+  EXPECT_EQ(wal_->metrics().commit_waits.Value(),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(metrics_.GetHistogram("net_ack_wait_us").snapshot().count,
+            static_cast<std::uint64_t>(kRequests));
+  server_->Stop();
+}
+
+TEST_F(DurableServerTest, ReadOnlyRequestsParkTheSameWay) {
+  StartServer();
+  const Result<ResponseMsg> written = client_.Call(Update(1, 7, 77));
+  ASSERT_TRUE(written.ok()) << written.status();
+  ASSERT_TRUE(written->committed);
+  storage_.Hold();
+  const std::uint64_t before = Commits();
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(
+        client_.Send(ReadOnly(static_cast<std::uint64_t>(10 + i), 7)).ok());
+  }
+  ASSERT_TRUE(WaitForCommits(before + kRequests));
+  EXPECT_FALSE(AnswerArrivesWithin(200));
+  storage_.Release();
+  const std::map<std::uint64_t, ResponseMsg> answers = Receive(kRequests);
+  ASSERT_EQ(answers.size(), static_cast<std::size_t>(kRequests));
+  for (const auto& [id, msg] : answers) {
+    EXPECT_TRUE(msg.committed) << "request " << id;
+    EXPECT_EQ(msg.values.size(), 1u) << "request " << id;
+  }
+  server_->Stop();
+}
+
+TEST_F(DurableServerTest, StopDeliversEveryParkedResponse) {
+  StartServer();
+  EXPECT_FALSE(AnsweredWithTheSyncHeld(200));
+  // Stop() drains parked responses too, so it waits for the sync.
+  std::thread stopper([this] { server_->Stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(AnswerArrivesWithin(0));
+  storage_.Release();
+  stopper.join();
+  const std::map<std::uint64_t, ResponseMsg> answers = Receive(kRequests);
+  std::uint64_t acked = 0;
+  for (const auto& [id, msg] : answers) acked += msg.committed ? 1 : 0;
+  EXPECT_EQ(acked, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(acked, CounterValue("net_committed"));
+}
+
+TEST_F(DurableServerTest, FailedSyncAnswersEveryParkedRequestAsFailed) {
+  StartServer();
+  EXPECT_FALSE(AnsweredWithTheSyncHeld(200));
+  storage_.FailNextSyncs(1);
+  storage_.Release();
+  const std::map<std::uint64_t, ResponseMsg> answers = Receive(kRequests);
+  ASSERT_EQ(answers.size(), static_cast<std::size_t>(kRequests));
+  for (const auto& [id, msg] : answers) {
+    EXPECT_FALSE(msg.committed) << "request " << id;
+  }
+  EXPECT_EQ(CounterValue("net_failed"),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(CounterValue("net_committed"), 0u);
+  // The WAL's error is sticky: a later commit is not acked either.
+  const Result<ResponseMsg> later = client_.Call(Update(99, 9, 9));
+  ASSERT_TRUE(later.ok()) << later.status();
+  EXPECT_FALSE(later->committed);
+  EXPECT_EQ(CounterValue("net_committed"), 0u);
+  server_->Stop();
+}
+
+// Canary: a WAL that acks without syncing (the lost-ack mutation) must
+// trip the check the tests above rely on.
+TEST_F(DurableServerTest, SkippedSyncCanaryIsCaught) {
+  WalOptions mutated;
+  mutated.mutation_skip_commit_sync = true;
+  StartServer(mutated);
+  EXPECT_TRUE(AnsweredWithTheSyncHeld(/*wait_ms=*/10000));
+  storage_.Release();
+  Receive(kRequests);
+  server_->Stop();
 }
 
 }  // namespace
