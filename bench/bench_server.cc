@@ -46,7 +46,6 @@ struct BenchConfig {
   std::size_t pipeline = 4;
   int io_threads = 2;
   int workers = 4;
-  ServerOptions::Backend backend = ServerOptions::Backend::kPerTxn;
 };
 
 SyntheticWorkloadParams BenchParams() {
@@ -62,7 +61,6 @@ ServerOptions BenchServerOptions(const BenchConfig& config,
   options.num_io_threads = config.io_threads;
   options.num_workers = config.workers;
   options.num_classes = params.depth;
-  options.backend = config.backend;
   options.listen_backlog = 4096;
   options.admission.total_inflight_cap = 4096;
   return options;
@@ -291,20 +289,14 @@ int Run(int argc, char** argv) {
             << " connections x " << config.reqs_per_conn
             << " requests, pipeline " << config.pipeline << " ===\n";
 
-  int failures = 0;
-  for (auto [backend, name] :
-       {std::pair{ServerOptions::Backend::kPerTxn, "per_txn"},
-        std::pair{ServerOptions::Backend::kEpoch, "epoch"}}) {
-    config.backend = backend;
-    MetricsRegistry metrics;
-    std::optional<DriverStats> stats = RunForkedLoad(config, &metrics);
-    if (!stats.has_value() || stats->connected != config.conns ||
-        stats->errors != 0) {
-      std::cerr << name << ": load run failed\n";
-      ++failures;
-      continue;
-    }
-    AddLoadRow(report, name, config, *stats, metrics);
+  MetricsRegistry metrics;
+  const std::optional<DriverStats> stats = RunForkedLoad(config, &metrics);
+  const bool loaded = stats.has_value() && stats->connected == config.conns &&
+                      stats->errors == 0;
+  if (loaded) {
+    AddLoadRow(report, "per_txn", config, *stats, metrics);
+  } else {
+    std::cerr << "per_txn: load run failed\n";
   }
 
   AddMessageModelRow(report);
@@ -319,7 +311,7 @@ int Run(int argc, char** argv) {
     }
     std::cout << "report written to " << *path << "\n";
   }
-  return failures == 0 ? 0 : 1;
+  return loaded ? 0 : 1;
 }
 
 }  // namespace

@@ -72,8 +72,7 @@ RunTally::RunTally(const ExecutorOptions& options) : options_(options) {
   }
 }
 
-void RunTally::Finish(int worker, std::uint64_t index,
-                      const TxnOptions& txn_options,
+void RunTally::Finish(int worker, const TxnOptions& txn_options,
                       const ProgramResult& result,
                       std::chrono::steady_clock::time_point start) {
   WorkerRecord& record = workers_[static_cast<std::size_t>(worker)];
@@ -89,7 +88,6 @@ void RunTally::Finish(int worker, std::uint64_t index,
   row.aborted_attempts += result.aborted_attempts;
   row.failed += result.failed ? 1 : 0;
   row.crashed += result.crashed ? 1 : 0;
-  if (options_.on_program_done) options_.on_program_done(index, result);
   if (options_.on_txn_done) options_.on_txn_done(done_.fetch_add(1) + 1);
 }
 

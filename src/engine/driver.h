@@ -131,15 +131,15 @@ void RunTasks(SimScheduler* sim, int num_workers,
 /// outcome is counted once.
 class RunTally {
  public:
-  /// Uses `options`' worker count, seed, completion callbacks and WAL
+  /// Uses `options`' worker count, seed, completion callback and WAL
   /// counters; `options` must outlive the tally.
   explicit RunTally(const ExecutorOptions& options);
 
-  /// Records the terminal `result` of stream program `index` (declared
-  /// with `txn_options`) on `worker`'s record — committed latency measured
-  /// from `start` — then fires on_program_done and on_txn_done. A worker
-  /// id is never used by two threads at once.
-  void Finish(int worker, std::uint64_t index, const TxnOptions& txn_options,
+  /// Records the terminal `result` of a stream program (declared with
+  /// `txn_options`) on `worker`'s record — committed latency measured from
+  /// `start` — then fires on_txn_done. A worker id is never used by two
+  /// threads at once.
+  void Finish(int worker, const TxnOptions& txn_options,
               const ProgramResult& result,
               std::chrono::steady_clock::time_point start);
 

@@ -42,8 +42,7 @@ bool Intersects(const std::vector<GranuleRef>& a,
 /// it, during execution only the executing worker does.
 struct Slot {
   TxnProgram program;
-  std::uint64_t index = 0;  // position in the workload stream
-  int attempts = 0;         // aborted attempts consumed
+  int attempts = 0;  // aborted attempts consumed
   std::chrono::steady_clock::time_point t0;
 };
 
@@ -158,7 +157,7 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
     result.failed = outcome == AttemptOutcome::kFailed;
     result.crashed = outcome == AttemptOutcome::kCrashed;
     result.aborted_attempts = static_cast<std::uint64_t>(slot.attempts);
-    tally.Finish(worker_id, slot.index, slot.program.options, result, slot.t0);
+    tally.Finish(worker_id, slot.program.options, result, slot.t0);
   };
 
   // Charges one aborted attempt to `slot`; kFailed once over budget.
@@ -211,10 +210,8 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
         state.retry.clear();
         while (batch_slots.size() < epoch_size &&
                state.next_stream < total_txns) {
-          const std::uint64_t index = state.next_stream++;
           auto slot = std::make_unique<Slot>();
-          slot->program = workload.Make(index, rng);
-          slot->index = index;
+          slot->program = workload.Make(state.next_stream++, rng);
           slot->t0 = std::chrono::steady_clock::now();
           state.slots.push_back(std::move(slot));
           batch_slots.push_back(static_cast<int>(state.slots.size()) - 1);

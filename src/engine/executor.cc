@@ -67,7 +67,7 @@ ExecutorStats RunWorkload(ConcurrencyController& cc, const Workload& workload,
       const auto t0 = std::chrono::steady_clock::now();
       const ProgramResult result =
           RunProgram(cc, program, options.max_retries, options.sim);
-      tally.Finish(worker_id, index, program.options, result, t0);
+      tally.Finish(worker_id, program.options, result, t0);
     }
   });
 }

@@ -69,11 +69,6 @@ struct ExecutorOptions {
   /// of service steps after the final transaction is fixed by the
   /// schedule, not by OS timing — replays stay byte-identical.
   std::function<void(const std::atomic<bool>& workers_done)> service;
-  /// Called on the worker thread after each program reaches its terminal
-  /// result, with the program's stream index. May run concurrently for
-  /// different programs; the callee synchronizes.
-  std::function<void(std::uint64_t index, const ProgramResult&)>
-      on_program_done;
 };
 
 /// Fixed-capacity uniform sample of latency observations (Vitter's

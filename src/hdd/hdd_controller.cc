@@ -1057,21 +1057,21 @@ Status HddController::Commit(const TxnDescriptor& txn) {
   std::shared_lock<std::shared_mutex> gate(struct_mu_, std::defer_lock);
   if (txn.epoch == 0) gate.lock();
   HDD_ASSIGN_OR_RETURN(std::unique_ptr<TxnRuntime> runtime, ExtractTxn(txn));
-  std::uint64_t commit_ticket = 0;
-  if (!runtime->descriptor.read_only) {
+  const bool read_only = runtime->descriptor.read_only;
+  Result<std::uint64_t> commit_ticket = std::uint64_t{0};
+  if (!read_only) {
     // Past the point of no return (the runtime is extracted), so this
     // site may stall — the injector's "delayed commit", which leaves the
     // uncommitted versions visible to waiting readers for a while — but
     // never unwind.
     SimYield("hdd/commit/install", /*interruptible=*/false);
-    HDD_ASSIGN_OR_RETURN(commit_ticket,
-                         InstallCommit(*runtime, /*finish=*/true));
+    commit_ticket = InstallCommit(*runtime, /*finish=*/true);
   } else if (wal_ != nullptr) {
     // Read-only commit: persist a clock marker (recovery must never
     // rewind below this reader's wall bound) and ride the same group
     // commit the update transactions use — the read barrier that makes
     // acked query results crash-proof.
-    HDD_ASSIGN_OR_RETURN(commit_ticket, wal_->LogReadBound(clock_->Now()));
+    commit_ticket = wal_->LogReadBound(clock_->Now());
   }
   // Inside a DeferredCommitWait scope (the served per-txn path) the ack,
   // not this thread, waits for the sync: the ticket is parked and the
@@ -1081,12 +1081,22 @@ Status HddController::Commit(const TxnDescriptor& txn) {
   // versions draws a higher ticket, so its own ack waits for this sync.
   // FinishTxn only releases this transaction's wall pin or stab (its
   // reads are done) and does bookkeeping: outcome, counters, active count
-  // and the idle trim.
-  if (commit_ticket == 0 || !wal_->DeferWait(commit_ticket)) {
-    HDD_RETURN_IF_ERROR(AwaitDurable(gate, commit_ticket));
+  // and the idle trim. Outside a scope a successful commit waits, then
+  // finishes, so its recorded-committed outcome is already durable.
+  Status status = commit_ticket.status();
+  if (status.ok() &&
+      (*commit_ticket == 0 || !wal_->DeferWait(*commit_ticket))) {
+    status = AwaitDurable(gate, *commit_ticket);
   }
-  FinishTxn(*runtime, TxnState::kCommitted);
-  return Status::OK();
+  // A failed append or sync still finishes the transaction, or its pin or
+  // stab and the active count would stall GC and the idle trim for good.
+  // An update's versions are marked committed by then (InstallCommit marks
+  // them before it appends), so readers may already have read them: the
+  // outcome is kCommitted, as on the parked path, and only the ack fails.
+  // A read-only transaction installed nothing and is recorded aborted.
+  FinishTxn(*runtime, status.ok() || !read_only ? TxnState::kCommitted
+                                                : TxnState::kAborted);
+  return status;
 }
 
 Result<std::uint64_t> HddController::InstallCommit(const TxnRuntime& runtime,

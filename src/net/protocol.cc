@@ -1,7 +1,5 @@
 #include "net/protocol.h"
 
-#include <utility>
-
 #include "common/codec.h"
 
 namespace hdd {
@@ -187,32 +185,24 @@ Result<ResponseMsg> DecodeResponse(std::string_view payload) {
 }
 
 TxnProgram ToTxnProgram(const SubmitRequest& request,
-                        std::shared_ptr<std::vector<Value>> values) {
+                        std::vector<Value>* values) {
   TxnProgram program;
   program.options.read_only = request.read_only;
   program.options.txn_class =
       request.read_only ? kReadOnlyClass : request.txn_class;
   program.options.read_scope = request.read_scope;
-  if (!request.read_only) {
+  // Two pointers: std::function keeps them without a heap allocation.
+  program.body = [&request, values](ConcurrencyController& cc,
+                                    const TxnDescriptor& txn) -> Status {
+    values->clear();  // retries re-run the whole body
     for (const WireOp& op : request.ops) {
-      if (op.granule.segment != request.txn_class) continue;
-      (op.kind == WireOp::Kind::kWrite ? program.declared_writes
-                                       : program.declared_reads)
-          .push_back(op.granule);
-    }
-  }
-  program.body = [ops = request.ops, values = std::move(values)](
-                     ConcurrencyController& cc,
-                     const TxnDescriptor& txn) -> Status {
-    if (values) values->clear();  // retries re-run the whole body
-    for (const WireOp& op : ops) {
       if (op.kind == WireOp::Kind::kWrite) {
         Status status = cc.Write(txn, op.granule, op.value);
         if (!status.ok()) return status;
       } else {
         Result<Value> value = cc.Read(txn, op.granule);
         if (!value.ok()) return value.status();
-        if (values) values->push_back(*value);
+        values->push_back(*value);
       }
     }
     return Status::OK();

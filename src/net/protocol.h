@@ -2,7 +2,6 @@
 #define HDD_NET_PROTOCOL_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,9 +40,8 @@ struct WireOp {
 };
 
 /// A transaction program in wire form: the declared TxnOptions plus a
-/// straight-line op list. Straight-line programs are exactly what the
-/// epoch executor needs (declared access sets are derivable), and what a
-/// remote client can express without shipping code.
+/// straight-line op list, which is what a remote client can express
+/// without shipping code.
 struct SubmitRequest {
   std::uint64_t request_id = 0;
   /// Root class for updates; ignored when read_only (the server runs
@@ -88,11 +86,11 @@ Result<ResponseMsg> DecodeResponse(std::string_view payload);
 
 /// Compiles a decoded submit into an executable program. Read results are
 /// appended to `*values` in op order; the body clears the vector at every
-/// attempt start, so retries do not duplicate. The declared own-segment
-/// access sets (granules whose segment == txn_class) are filled so the
-/// program is admissible under the epoch executor.
+/// attempt start, so retries do not duplicate. The program borrows both
+/// `request` and `values`: the caller owns them, and they must outlive
+/// every run of the body.
 TxnProgram ToTxnProgram(const SubmitRequest& request,
-                        std::shared_ptr<std::vector<Value>> values);
+                        std::vector<Value>* values);
 
 }  // namespace hdd
 

@@ -12,7 +12,6 @@
 #include <iterator>
 #include <utility>
 
-#include "engine/epoch_executor.h"
 #include "engine/executor.h"
 #include "wal/wal_manager.h"
 
@@ -28,20 +27,6 @@ constexpr std::uint64_t kListenData = ~std::uint64_t{0} - 1;
 // cannot starve the rest of an IO thread's event batch; level-triggered
 // epoll re-delivers whatever is left.
 constexpr int kMaxReadsPerEvent = 16;
-
-/// Replays a fixed vector of collected programs as a Workload, so a batch
-/// of admitted network requests can be driven through RunWorkloadEpochs.
-class VectorWorkload : public Workload {
- public:
-  explicit VectorWorkload(std::vector<TxnProgram> programs)
-      : programs_(std::move(programs)) {}
-  TxnProgram Make(std::uint64_t index, Rng&) const override {
-    return programs_[index];
-  }
-
- private:
-  std::vector<TxnProgram> programs_;
-};
 
 }  // namespace
 
@@ -78,11 +63,6 @@ HddServer::~HddServer() { Stop(); }
 
 Status HddServer::Start() {
   if (!loop_.ok()) return Status::IoError("epoll/eventfd setup failed");
-  if (options_.shard_execute &&
-      options_.backend == ServerOptions::Backend::kEpoch) {
-    return Status::InvalidArgument(
-        "shard_execute requires the per-txn backend");
-  }
   const int lfd =
       socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (lfd < 0) return Status::IoError("socket() failed");
@@ -115,18 +95,14 @@ Status HddServer::Start() {
   for (int i = 0; i < options_.num_io_threads; ++i) {
     io_threads_.emplace_back([this] { IoThread(); });
   }
-  if (options_.backend == ServerOptions::Backend::kEpoch) {
-    worker_threads_.emplace_back([this] { EpochBatcherThread(); });
-  } else {
-    if (!options_.shard_execute) {
-      wal_ = cc_->db().wal();
-      if (wal_ != nullptr) {
-        completion_thread_ = std::thread([this] { CompletionThread(); });
-      }
+  if (!options_.shard_execute) {
+    wal_ = cc_->db().wal();
+    if (wal_ != nullptr) {
+      completion_thread_ = std::thread([this] { CompletionThread(); });
     }
-    for (int i = 0; i < options_.num_workers; ++i) {
-      worker_threads_.emplace_back([this] { WorkerThread(); });
-    }
+  }
+  for (int i = 0; i < options_.num_workers; ++i) {
+    worker_threads_.emplace_back([this] { WorkerThread(); });
   }
   return Status::OK();
 }
@@ -329,7 +305,7 @@ void HddServer::HandleFrame(const ConnPtr& conn, std::string_view payload) {
     EnqueueResponseLocked(*conn, msg);
     return;
   }
-  const RequestMsg& req = *decoded;
+  RequestMsg& req = *decoded;
   if (req.type == NetMsgType::kPing) {
     ResponseMsg msg;
     msg.type = NetMsgType::kPong;
@@ -337,7 +313,7 @@ void HddServer::HandleFrame(const ConnPtr& conn, std::string_view payload) {
     EnqueueResponseLocked(*conn, msg);
     return;
   }
-  const SubmitRequest& submit = req.submit;
+  SubmitRequest& submit = req.submit;
   if (!submit.read_only && !admission_.KnowsClass(submit.txn_class)) {
     ResponseMsg msg;
     msg.type = NetMsgType::kError;
@@ -361,14 +337,8 @@ void HddServer::HandleFrame(const ConnPtr& conn, std::string_view payload) {
   ++conn->inflight;
   WorkItem item;
   item.conn = conn;
-  item.request_id = submit.request_id;
   item.cls = cls;
-  item.values = std::make_shared<std::vector<Value>>();
-  if (options_.shard_execute) {
-    item.submit = submit;
-  } else {
-    item.program = ToTxnProgram(submit, item.values);
-  }
+  item.submit = std::move(submit);
   item.admitted_at = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(dispatch_mu_);
@@ -467,7 +437,8 @@ void HddServer::Respond(const ConnPtr& conn, const ResponseMsg& msg) {
   if (dead) CloseConn(conn);
 }
 
-void HddServer::FinishItem(const WorkItem& item, const ProgramResult& result) {
+void HddServer::FinishItem(const WorkItem& item, const ProgramResult& result,
+                           std::vector<Value> values) {
   admission_.Finish(item.cls);
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
                            std::chrono::steady_clock::now() - item.admitted_at)
@@ -481,11 +452,11 @@ void HddServer::FinishItem(const WorkItem& item, const ProgramResult& result) {
   }
   ResponseMsg msg;
   msg.type = NetMsgType::kResult;
-  msg.request_id = item.request_id;
+  msg.request_id = item.submit.request_id;
   msg.committed = result.committed;
   msg.aborted_attempts =
       static_cast<std::uint32_t>(result.aborted_attempts);
-  if (item.values) msg.values = *item.values;
+  msg.values = std::move(values);
   Respond(item.conn, msg);
 }
 
@@ -546,30 +517,31 @@ void HddServer::WorkerThread() {
     }
     m_queue_depth_->Sub();
     ProgramResult result;
+    std::vector<Value> values;
     std::uint64_t ticket = 0;
     if (options_.shard_execute) {
       ServerOptions::ShardOutcome out = options_.shard_execute(item.submit);
       result.committed = out.committed;
       result.failed = !out.committed;
       result.aborted_attempts = out.aborted_attempts;
-      *item.values = std::move(out.values);
-    } else if (wal_ != nullptr) {
-      DeferredCommitWait deferred;
-      result = RunProgram(*cc_, item.program, options_.max_retries);
-      ticket = deferred.ticket();
+      values = std::move(out.values);
     } else {
-      result = RunProgram(*cc_, item.program, options_.max_retries);
+      // A commit parks a nonzero ticket here only when a WAL is attached.
+      DeferredCommitWait deferred;
+      result = RunProgram(*cc_, ToTxnProgram(item.submit, &values),
+                          options_.max_retries);
+      ticket = deferred.ticket();
     }
     if (ticket == 0) {
-      FinishItem(item, result);
+      FinishItem(item, result, std::move(values));
       ItemDone(1);
       continue;
     }
     // Committed, not yet durable: the completion thread answers it.
     {
       std::lock_guard<std::mutex> lock(park_mu_);
-      parked_.push_back(ParkedAck{std::move(item), result, ticket,
-                                  std::chrono::steady_clock::now()});
+      parked_.push_back(ParkedAck{std::move(item), result, std::move(values),
+                                  ticket, std::chrono::steady_clock::now()});
     }
     park_cv_.notify_one();
   }
@@ -617,46 +589,10 @@ void HddServer::CompletionThread() {
               .count()));
       // Installed but not durable: never acked as committed.
       if (!synced.ok()) p.result.committed = false;
-      FinishItem(p.item, p.result);
+      FinishItem(p.item, p.result, std::move(p.values));
     }
     ItemDone(answer.size());
     answer.clear();
-  }
-}
-
-void HddServer::EpochBatcherThread() {
-  for (;;) {
-    std::vector<WorkItem> batch;
-    {
-      std::unique_lock<std::mutex> lock(dispatch_mu_);
-      dispatch_cv_.wait(lock, [this] { return queued_ > 0 || workers_stop_; });
-      if (queued_ == 0) {
-        if (workers_stop_) return;
-        continue;
-      }
-      while (batch.size() < options_.epoch_size && queued_ > 0) {
-        WorkItem item;
-        if (!PopItemLocked(&item)) break;
-        --queued_;
-        batch.push_back(std::move(item));
-      }
-      executing_ += batch.size();
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) m_queue_depth_->Sub();
-    std::vector<TxnProgram> programs;
-    programs.reserve(batch.size());
-    for (const WorkItem& item : batch) programs.push_back(item.program);
-    VectorWorkload workload(std::move(programs));
-    EpochExecutorOptions eo;
-    eo.num_threads = options_.num_workers;
-    eo.epoch_size = options_.epoch_size;
-    eo.max_retries = options_.max_retries;
-    eo.on_program_done = [this, &batch](std::uint64_t index,
-                                        const ProgramResult& result) {
-      FinishItem(batch[index], result);
-    };
-    RunWorkloadEpochs(*cc_, workload, batch.size(), eo);
-    ItemDone(batch.size());
   }
 }
 

@@ -37,15 +37,12 @@ struct ServerOptions {
   /// Threads executing admitted transaction programs.
   int num_workers = 4;
 
-  /// How admitted programs reach the engine. kPerTxn: each worker drives
-  /// RunProgram (the workload executor's core) per request. kEpoch:
-  /// admitted programs are collected into batches and driven through
-  /// RunWorkloadEpochs, so remote traffic gets the epoch executor's
-  /// dependency-graph ordering.
-  enum class Backend { kPerTxn, kEpoch };
+  /// Every admitted request is compiled and driven through RunProgram by a
+  /// worker; there is no other backend. The enum and the field remain only
+  /// because perfbench/served_bench.cc still sets them: delete that line
+  /// with the next benchmark change, then this enum.
+  enum class Backend { kPerTxn };
   Backend backend = Backend::kPerTxn;
-  /// kEpoch: max programs per collected batch.
-  std::uint64_t epoch_size = 64;
   int max_retries = 10000;
 
   /// Number of update classes the server accepts (ids 0..num_classes-1);
@@ -78,28 +75,26 @@ struct ServerOptions {
   /// each admitted submit through this callback instead of the local
   /// engine. The binding bridges to dist/DistSession — routing remote
   /// Protocol A reads and two-phasing remotely-owned writes — while net/
-  /// stays independent of dist/. Per-txn backend only (Start refuses
-  /// kEpoch: batching across shards would need a distributed epoch
-  /// barrier that does not exist).
+  /// stays independent of dist/.
   std::function<ShardOutcome(const SubmitRequest&)> shard_execute;
 };
 
 /// The HDD network front end: a non-blocking epoll server speaking the
-/// length-prefixed CRC-framed protocol of net/frame.h + net/protocol.h,
-/// decoding submits into TxnPrograms and driving the existing engine
-/// (RunProgram / RunWorkloadEpochs) through a worker pool behind per-class
-/// admission control.
+/// length-prefixed CRC-framed protocol of net/frame.h + net/protocol.h
+/// behind per-class admission control. Each admitted request runs one
+/// way: a worker pops the wire request, compiles it with ToTxnProgram and
+/// drives it through RunProgram, the workload executor's core.
 ///
-/// Durable serving parks the ack, not the worker. On the per-txn backend
-/// without shard_execute, over a controller whose database has a WAL
-/// attached, each worker runs its program inside a DeferredCommitWait
-/// scope (wal/wal_manager.h): the commit installs, draws its WAL ticket
-/// and returns, and the worker parks the response and takes the next
-/// request. One completion thread waits in the WAL's group commit for the
-/// highest parked ticket and answers every parked request the synced
-/// frontier has passed; if the sync fails (the WAL's error is sticky) it
-/// answers them all as failed. A commit that is not durable is never
-/// acked. The epoch backend and shard_execute keep the blocking commit.
+/// Durable serving parks the ack, not the worker. Each worker runs its
+/// program inside a DeferredCommitWait scope (wal/wal_manager.h). Over a
+/// controller whose database has a WAL attached, the commit installs,
+/// draws its WAL ticket and returns, and the worker parks the response
+/// and takes the next request; without a WAL no ticket is drawn and the
+/// response goes out at once. One completion thread waits in the WAL's
+/// group commit for the highest parked ticket and answers every parked
+/// request the synced frontier has passed; if the sync fails (the WAL's
+/// error is sticky) it answers them all as failed. A commit that is not
+/// durable is never acked. shard_execute keeps the blocking commit.
 ///
 /// Metrics (all through the MetricsRegistry passed in):
 ///   counters   net_accepted, net_closed, net_frames,
@@ -112,7 +107,8 @@ struct ServerOptions {
 ///              net_ack_wait_us (a parked response: park to answer)
 class HddServer {
  public:
-  /// `cc` and `metrics` are borrowed and must outlive the server.
+  /// `cc` and `metrics` are borrowed and must outlive the server. A WAL,
+  /// if any, is attached to `cc`'s database before Start().
   HddServer(ConcurrencyController* cc, const ServerOptions& options,
             MetricsRegistry* metrics);
   ~HddServer();
@@ -146,16 +142,12 @@ class HddServer {
   };
   using ConnPtr = std::shared_ptr<Connection>;
 
-  /// One admitted program waiting for (or in) execution.
+  /// One admitted request waiting for (or in) execution, in wire form:
+  /// the worker compiles it (the dist session routes its raw ops).
   struct WorkItem {
     ConnPtr conn;
-    std::uint64_t request_id = 0;
     ClassId cls = 0;  // admission class (kReadOnlyClass for read-only)
-    TxnProgram program;
-    /// Shard mode keeps the wire form instead of a compiled program (the
-    /// dist session routes raw ops; `program` stays empty).
     SubmitRequest submit;
-    std::shared_ptr<std::vector<Value>> values;
     std::chrono::steady_clock::time_point admitted_at;
   };
 
@@ -164,13 +156,13 @@ class HddServer {
   struct ParkedAck {
     WorkItem item;
     ProgramResult result;
+    std::vector<Value> values;  // reads of the committed attempt
     std::uint64_t ticket = 0;
     std::chrono::steady_clock::time_point parked_at;
   };
 
   void IoThread();
   void WorkerThread();
-  void EpochBatcherThread();
   /// Answers parked responses as the WAL's synced frontier passes them.
   void CompletionThread();
 
@@ -191,8 +183,9 @@ class HddServer {
   void CloseConn(const ConnPtr& conn);
   void Respond(const ConnPtr& conn, const ResponseMsg& msg);
 
-  /// Completion path shared by both backends and the parked responses.
-  void FinishItem(const WorkItem& item, const ProgramResult& result);
+  /// Answers an executed request, at once or once its ticket is synced.
+  void FinishItem(const WorkItem& item, const ProgramResult& result,
+                  std::vector<Value> values);
   /// Ends an item's execution (it no longer holds Stop()'s drain).
   void ItemDone(std::uint64_t count);
 

@@ -1,18 +1,22 @@
 // Socket deployment smoke: the sharded hierarchy served by REAL
-// processes over real TCP. Two tests:
+// processes over real TCP. Among the tests:
 //
 //  * TwoProcessDeploymentServesClients execs the actual `hdd_server
 //    --shard` binary twice (one process per shard node), drives updates
 //    at each class's home front end plus a cross-shard read-only
 //    transaction, and demands a clean SIGTERM shutdown (the binary
 //    itself exits non-zero on a degraded clock or a leaked transport fd).
+//  * HddServerRefusesABadCommandLine execs the binary with one bad
+//    argument at a time: it must exit 1 before printing its banner.
 //  * InProcessPairLeaksNoFds runs two ShardServers inside this process —
 //    still real sockets on loopback — so the zero-fd-leak assert can
 //    inspect /proc/self/fd directly across Start/traffic/Stop.
 
 #include <arpa/inet.h>
 #include <dirent.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -199,6 +203,96 @@ TEST(DistSocket, TwoProcessDeploymentServesClients) {
       << "shard 0 exit status " << status0;
   EXPECT_TRUE(WIFEXITED(status1) && WEXITSTATUS(status1) == 0)
       << "shard 1 exit status " << status1;
+}
+
+/// Execs hdd_server with `args` and returns its exit status, with
+/// everything it printed on stdout; -1 when it was still running after
+/// 10 s (it is then killed).
+int RunServerBinary(const std::vector<std::string>& args, std::string* out) {
+  int pipe_fds[2];
+  if (pipe(pipe_fds) != 0) return -1;
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(pipe_fds[0]);
+    close(pipe_fds[1]);
+    return -1;
+  }
+  if (pid == 0) {
+    dup2(pipe_fds[1], STDOUT_FILENO);
+    const int null_fd = open("/dev/null", O_WRONLY);
+    if (null_fd >= 0) dup2(null_fd, STDERR_FILENO);
+    close(pipe_fds[0]);
+    close(pipe_fds[1]);
+    std::vector<char*> argv = {const_cast<char*>(HDD_SERVER_BIN)};
+    for (const std::string& arg : args) {
+      argv.push_back(const_cast<char*>(arg.c_str()));
+    }
+    argv.push_back(nullptr);
+    execv(HDD_SERVER_BIN, argv.data());
+    _exit(127);  // exec failed
+  }
+  close(pipe_fds[1]);
+  out->clear();
+  pollfd pfd{pipe_fds[0], POLLIN, 0};
+  char buf[256];
+  bool exited = false;  // stdout reached EOF
+  while (!exited && poll(&pfd, 1, 10000) > 0) {
+    const ssize_t n = read(pipe_fds[0], buf, sizeof(buf));
+    if (n > 0) out->append(buf, static_cast<std::size_t>(n));
+    exited = n <= 0;
+  }
+  close(pipe_fds[0]);
+  if (!exited) kill(pid, SIGKILL);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return exited && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(DistSocket, HddServerRefusesABadCommandLine) {
+  const std::vector<std::vector<std::string>> bad = {
+      // Single-node mode: unknown, misspelt, malformed or repeated flags.
+      {"--no_such_flag=1"},
+      {"--wokers=8"},
+      {"--workers"},
+      {"serve"},
+      {"--workers=2", "--workers=3"},
+      {"--controller=nope"},
+      {"--shard_peers=7000,7001"},
+      // Counts must be all digits and at least 1; ports fit 16 bits.
+      {"--workers=abc"},
+      {"--workers=0"},
+      {"--workers=-1"},
+      {"--workers=+2"},
+      {"--workers="},
+      {"--io_threads=0"},
+      {"--depth=0"},
+      {"--granules=2x"},
+      {"--inflight_cap=0"},
+      {"--port=70000"},
+      {"--port=-1"},
+      // Shard mode: the node index, the peer list, and flags only the
+      // single-node mode takes.
+      {"--shard=abc", "--shard_peers=7000,7001"},
+      {"--shard=-1", "--shard_peers=7000,7001"},
+      {"--shard=+1", "--shard_peers=7000,7001"},
+      {"--shard=1x", "--shard_peers=7000,7001"},
+      {"--shard=", "--shard_peers=7000,7001"},
+      {"--shard=99999999999", "--shard_peers=7000,7001"},
+      {"--shard=0", "--shard_peers=7000"},
+      {"--shard=0", "--shard_peers=7000,abc"},
+      {"--shard=0", "--shard_peers=7000,,7001"},
+      {"--shard=0", "--shard_peers=7000,70000"},
+      {"--shard=0", "--shard_peers=7000,7001", "--workers=0"},
+      {"--shard=0", "--shard_peers=7000,7001", "--controller=hdd"},
+      {"--shard=0", "--shard_peers=7000,7001", "--no_such_flag=1"},
+  };
+  for (const std::vector<std::string>& args : bad) {
+    std::string joined;
+    for (const std::string& arg : args) joined += " " + arg;
+    std::string out;
+    EXPECT_EQ(RunServerBinary(args, &out), 1) << "hdd_server" << joined;
+    EXPECT_EQ(out, "") << "hdd_server" << joined;
+  }
 }
 
 #endif  // HDD_SERVER_BIN

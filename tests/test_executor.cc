@@ -5,8 +5,10 @@
 // RunWorkloadEpochs with program bodies that return scripted statuses:
 //  * every program ends exactly once: committed + failed + crashed == N;
 //  * the per-class rows sum to the totals;
-//  * on_txn_done sees 1..N, each exactly once, and on_program_done every
-//    stream index exactly once with the scripted terminal result;
+//  * on_txn_done sees 1..N, each exactly once, and Workload::Make is
+//    asked for every stream index exactly once (both executors make each
+//    program once, retries included); a scripted body runs as often as
+//    its script says;
 //  * a program aborted on every attempt fails after max_retries + 1
 //    aborted attempts;
 //  * the service task observes workers_done and returns;
@@ -164,7 +166,6 @@ ExecutorStats RunDriver(Driver driver, ConcurrencyController& cc,
   epoch.seed = options.seed;
   epoch.sim = options.sim;
   epoch.on_txn_done = options.on_txn_done;
-  epoch.on_program_done = options.on_program_done;
   epoch.service = options.service;
   epoch.epoch_size = 4;
   return RunWorkloadEpochs(cc, workload, n, epoch);
@@ -182,12 +183,49 @@ Script ScriptOf(std::uint64_t index) {
   return static_cast<Script>(index % 4);
 }
 
+// What the drivers did, collected under a mutex (workers make and finish
+// programs concurrently): each on_txn_done count, how often each stream
+// index was made, and, for scripted programs, each program's body runs.
+struct Completions {
+  std::mutex mu;
+  std::vector<std::uint64_t> txn_done;
+  std::map<std::uint64_t, int> made;
+  std::map<std::uint64_t, std::shared_ptr<int>> body_runs;
+
+  void Wire(ExecutorOptions& options) {
+    options.on_txn_done = [this](std::uint64_t done) {
+      std::lock_guard<std::mutex> lock(mu);
+      txn_done.push_back(done);
+    };
+  }
+
+  void Made(std::uint64_t index, std::shared_ptr<int> runs = nullptr) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++made[index];
+    if (runs) body_runs[index] = std::move(runs);
+  }
+
+  void ExpectEachOnce(std::uint64_t n) {
+    std::vector<std::uint64_t> sorted = txn_done;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint64_t> expected(n);
+    for (std::uint64_t i = 0; i < n; ++i) expected[i] = i + 1;
+    EXPECT_EQ(sorted, expected);
+    EXPECT_EQ(made.size(), n);
+    for (const auto& [index, times] : made) {
+      EXPECT_LT(index, n);
+      EXPECT_EQ(times, 1) << "program " << index;
+    }
+  }
+};
+
 // Programs whose bodies touch no data and return their scripted status.
 // Classes cycle over the hierarchy's classes plus ad-hoc read-only, so
 // every per-class row is populated.
 class ScriptedWorkload : public Workload {
  public:
-  explicit ScriptedWorkload(int num_classes) : num_classes_(num_classes) {}
+  ScriptedWorkload(int num_classes, Completions* seen)
+      : num_classes_(num_classes), seen_(seen) {}
 
   TxnProgram Make(std::uint64_t index, Rng&) const override {
     TxnProgram p;
@@ -200,6 +238,7 @@ class ScriptedWorkload : public Workload {
       p.options.txn_class = static_cast<ClassId>(slot);
     }
     auto calls = std::make_shared<int>(0);
+    seen_->Made(index, calls);
     const Script script = ScriptOf(index);
     p.body = [script, calls](ConcurrencyController&,
                              const TxnDescriptor&) -> Status {
@@ -221,6 +260,23 @@ class ScriptedWorkload : public Workload {
 
  private:
   int num_classes_;
+  Completions* seen_;
+};
+
+// Forwards to `inner`, recording each stream index it is asked to make.
+class RecordingWorkload : public Workload {
+ public:
+  RecordingWorkload(const Workload& inner, Completions* seen)
+      : inner_(inner), seen_(seen) {}
+
+  TxnProgram Make(std::uint64_t index, Rng& rng) const override {
+    seen_->Made(index);
+    return inner_.Make(index, rng);
+  }
+
+ private:
+  const Workload& inner_;
+  Completions* seen_;
 };
 
 void ExpectRowsSumToTotals(const ExecutorStats& stats) {
@@ -236,44 +292,6 @@ void ExpectRowsSumToTotals(const ExecutorStats& stats) {
   EXPECT_EQ(sum.failed, stats.failed);
   EXPECT_EQ(sum.crashed, stats.crashed);
 }
-
-// Completion callbacks, collected under a mutex (they may run
-// concurrently on different workers).
-struct Completions {
-  std::mutex mu;
-  std::vector<std::uint64_t> txn_done;
-  std::map<std::uint64_t, ProgramResult> programs;
-  int duplicate_programs = 0;
-
-  void Wire(ExecutorOptions& options) {
-    options.on_txn_done = [this](std::uint64_t done) {
-      std::lock_guard<std::mutex> lock(mu);
-      txn_done.push_back(done);
-    };
-    options.on_program_done = [this](std::uint64_t index,
-                                      const ProgramResult& result) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!programs.emplace(index, result).second) ++duplicate_programs;
-    };
-  }
-
-  void ExpectEachOnce(std::uint64_t n) {
-    std::vector<std::uint64_t> sorted = txn_done;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<std::uint64_t> expected(n);
-    for (std::uint64_t i = 0; i < n; ++i) expected[i] = i + 1;
-    EXPECT_EQ(sorted, expected);
-    EXPECT_EQ(duplicate_programs, 0);
-    EXPECT_EQ(programs.size(), n);
-    for (const auto& [index, result] : programs) {
-      EXPECT_LT(index, n);
-      EXPECT_EQ(int{result.committed} + int{result.failed} +
-                    int{result.crashed},
-                1)
-          << "program " << index;
-    }
-  }
-};
 
 struct HddFixture {
   explicit HddFixture(int depth) {
@@ -301,12 +319,12 @@ TEST_P(DriverContract, ScriptedOutcomesAreCountedOnce) {
   HddFixture fx(kDepth);
   LogicalClock clock;
   HddController cc(fx.db.get(), &clock, &*fx.schema);
-  ScriptedWorkload workload(kDepth);
+  Completions seen;
+  ScriptedWorkload workload(kDepth, &seen);
 
   ExecutorOptions options;
   options.num_threads = 3;
   options.max_retries = kMaxRetries;
-  Completions seen;
   seen.Wire(options);
   const ExecutorStats stats =
       RunDriver(GetParam(), cc, workload, kPrograms, options);
@@ -323,27 +341,12 @@ TEST_P(DriverContract, ScriptedOutcomesAreCountedOnce) {
   EXPECT_EQ(stats.per_class.count(kReadOnlyClass), 1u);
 
   seen.ExpectEachOnce(kPrograms);
-  for (const auto& [index, result] : seen.programs) {
-    switch (ScriptOf(index)) {
-      case Script::kCommit:
-        EXPECT_TRUE(result.committed) << index;
-        EXPECT_EQ(result.aborted_attempts, 0u) << index;
-        break;
-      case Script::kAlwaysAbort:
-        EXPECT_TRUE(result.failed) << index;
-        EXPECT_EQ(result.aborted_attempts,
-                  static_cast<std::uint64_t>(kMaxRetries + 1))
-            << index;
-        break;
-      case Script::kHardError:
-        EXPECT_TRUE(result.failed) << index;
-        EXPECT_EQ(result.aborted_attempts, 0u) << index;
-        break;
-      case Script::kBusyOnce:
-        EXPECT_TRUE(result.committed) << index;
-        EXPECT_EQ(result.aborted_attempts, 1u) << index;
-        break;
-    }
+  ASSERT_EQ(seen.body_runs.size(), kPrograms);
+  for (const auto& [index, runs] : seen.body_runs) {
+    int expected = 1;  // kCommit, kHardError
+    if (ScriptOf(index) == Script::kAlwaysAbort) expected = kMaxRetries + 1;
+    if (ScriptOf(index) == Script::kBusyOnce) expected = 2;
+    EXPECT_EQ(*runs, expected) << "program " << index;
   }
 }
 
@@ -351,7 +354,8 @@ TEST_P(DriverContract, ServiceSeesWorkersDoneAndReturns) {
   HddFixture fx(2);
   LogicalClock clock;
   HddController cc(fx.db.get(), &clock, &*fx.schema);
-  ScriptedWorkload workload(2);
+  Completions seen;
+  ScriptedWorkload workload(2, &seen);
 
   ExecutorOptions options;
   options.num_threads = 2;
@@ -405,13 +409,14 @@ TEST_P(DriverContract, SimulatedFaultsKeepTheTallyExact) {
     options.sim = &sched;
     Completions seen;
     seen.Wire(options);
+    const RecordingWorkload recorded(workload, &seen);
     bool saw_done = false;
     options.service = [&](const std::atomic<bool>& workers_done) {
       while (!workers_done.load()) SimYield("test/service", false);
       saw_done = true;
     };
     const ExecutorStats stats =
-        RunDriver(GetParam(), cc, workload, kPrograms, options);
+        RunDriver(GetParam(), cc, recorded, kPrograms, options);
     if (sched.halted()) continue;  // a deadlock finding is the sim's report
     ++completed_runs;
     EXPECT_TRUE(saw_done) << "seed " << seed;

@@ -1,17 +1,20 @@
 // Abort-path coverage for the HDD controller: aborting mid-write on the
 // root segment, garbage collection racing an eventually-aborted writer,
-// time-wall pins held (then released) across a read-only abort, and
+// time-wall pins held (then released) across a read-only abort,
 // collections that must spare what live read-only transactions still
-// read. These
-// are the recovery paths the deterministic simulation harness exercises
-// under fault injection; here each scenario is pinned down sequentially.
+// read, and commits whose WAL sync fails. These are the recovery paths
+// the deterministic simulation harness exercises under fault injection;
+// here each scenario is pinned down sequentially.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "hdd/hdd_controller.h"
 #include "txn/dependency_graph.h"
+#include "wal/wal_manager.h"
+#include "wal/wal_storage.h"
 
 namespace hdd {
 namespace {
@@ -266,6 +269,77 @@ TEST_F(HddAbortPathsTest, AbortPathsLeaveMetricsAndHistoryConsistent) {
   EXPECT_EQ(outcomes.at(ro->id), TxnState::kAborted);
   // Aborted reads/writes never count against serializability.
   EXPECT_TRUE(CheckSerializability(cc_->recorder()).serializable);
+}
+
+// A commit whose WAL sync fails returns the error, and still finishes the
+// transaction: otherwise the active count, and a Protocol C wall pin or a
+// hosted reader's stab, stay registered, and the idle trim never runs
+// again.
+class HddFailedSyncTest : public HddAbortPathsTest {
+ protected:
+  void SetUp() override {
+    WalOptions options;
+    options.group.mode = WalSyncMode::kPerCommit;
+    auto wal = WalManager::Open(&storage_, db_.num_segments(), options);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    wal_ = std::move(*wal);
+    db_.AttachWal(wal_.get());
+    cc_ = std::make_unique<HddController>(&db_, &clock_, schema_.get());
+    storage_.FailNextSyncs(1);
+  }
+
+  void TearDown() override { cc_.reset(); }
+
+  // 200 aborted updates after the failed commit: each reaches an idle
+  // point, so the history is trimmed.
+  void ExpectHistoryStaysTrimmed() {
+    for (int i = 0; i < 200; ++i) {
+      auto txn = cc_->Begin({.txn_class = 0});
+      ASSERT_TRUE(txn.ok());
+      ASSERT_TRUE(cc_->Write(*txn, kEvent1, i).ok());
+      ASSERT_TRUE(cc_->Abort(*txn).ok());
+    }
+    EXPECT_LE(cc_->ActivityHistorySize(), 1u);
+  }
+
+  // The outcome recorded for `txn`; kActive when none was.
+  TxnState OutcomeOf(const TxnDescriptor& txn) const {
+    const auto outcomes = cc_->recorder().outcomes();
+    const auto it = outcomes.find(txn.id);
+    return it == outcomes.end() ? TxnState::kActive : it->second;
+  }
+
+  SimWalStorage storage_;
+  std::unique_ptr<WalManager> wal_;
+};
+
+TEST_F(HddFailedSyncTest, UpdateCommitFinishesAsCommitted) {
+  auto txn = cc_->Begin({.txn_class = 0});
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(cc_->Write(*txn, kEvent0, 5).ok());
+  EXPECT_EQ(cc_->Commit(*txn).code(), StatusCode::kIoError);
+  ExpectHistoryStaysTrimmed();
+  // The version was marked committed before the sync, and readers may
+  // have seen it, so the recorded outcome is committed.
+  EXPECT_EQ(OutcomeOf(*txn), TxnState::kCommitted);
+}
+
+TEST_F(HddFailedSyncTest, HostedReadOnlyCommitReleasesItsStab) {
+  auto ro = cc_->Begin({.read_only = true, .read_scope = {0, 1}});
+  ASSERT_TRUE(ro.ok());
+  ASSERT_TRUE(cc_->Read(*ro, kEvent0).ok());
+  EXPECT_EQ(cc_->Commit(*ro).code(), StatusCode::kIoError);
+  ExpectHistoryStaysTrimmed();
+  EXPECT_EQ(OutcomeOf(*ro), TxnState::kAborted);
+}
+
+TEST_F(HddFailedSyncTest, ProtocolCReadOnlyCommitReleasesItsWallPin) {
+  auto ro = cc_->Begin({.read_only = true});
+  ASSERT_TRUE(ro.ok());
+  ASSERT_TRUE(cc_->Read(*ro, kEvent0).ok());
+  EXPECT_EQ(cc_->Commit(*ro).code(), StatusCode::kIoError);
+  ExpectHistoryStaysTrimmed();
+  EXPECT_EQ(OutcomeOf(*ro), TxnState::kAborted);
 }
 
 }  // namespace

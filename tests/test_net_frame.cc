@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/codec.h"
@@ -262,29 +263,76 @@ TEST(Protocol, MalformedPayloadsRejectedNotCrashed) {
   EXPECT_FALSE(DecodeRequest(hostile).ok());
 }
 
-TEST(Protocol, ToTxnProgramDeclaresOwnSegmentAccesses) {
+TEST(Protocol, ToTxnProgramMapsTheDeclaredOptions) {
   SubmitRequest submit;
   submit.txn_class = 2;
-  submit.ops = {
-      {WireOp::Kind::kRead, {0, 1}, 0},   // upper read: not declared
-      {WireOp::Kind::kRead, {2, 5}, 0},   // own read: declared
-      {WireOp::Kind::kWrite, {2, 6}, 7},  // own write: declared
-  };
-  auto values = std::make_shared<std::vector<Value>>();
-  const TxnProgram program = ToTxnProgram(submit, values);
+  submit.ops = {{WireOp::Kind::kWrite, {2, 6}, 7}};
+  std::vector<Value> values;
+  const TxnProgram program = ToTxnProgram(submit, &values);
+  EXPECT_FALSE(program.options.read_only);
   EXPECT_EQ(program.options.txn_class, 2);
-  ASSERT_EQ(program.declared_reads.size(), 1u);
-  EXPECT_EQ(program.declared_reads[0], (GranuleRef{2, 5}));
-  ASSERT_EQ(program.declared_writes.size(), 1u);
-  EXPECT_EQ(program.declared_writes[0], (GranuleRef{2, 6}));
 
   SubmitRequest ro;
   ro.read_only = true;
+  ro.txn_class = 3;  // ignored for read-only programs
+  ro.read_scope = {1, 2};
   ro.ops = {{WireOp::Kind::kRead, {0, 1}, 0}};
-  const TxnProgram ro_program = ToTxnProgram(ro, nullptr);
+  const TxnProgram ro_program = ToTxnProgram(ro, &values);
   EXPECT_TRUE(ro_program.options.read_only);
   EXPECT_EQ(ro_program.options.txn_class, kReadOnlyClass);
-  EXPECT_TRUE(ro_program.declared_reads.empty());
+  EXPECT_EQ(ro_program.options.read_scope, (std::vector<SegmentId>{1, 2}));
+}
+
+// Answers every read with the next value of a counter and logs writes;
+// the rest of the interface is never reached by a program body.
+class CountingController : public ConcurrencyController {
+ public:
+  CountingController() : ConcurrencyController(nullptr, nullptr) {}
+
+  std::string_view name() const override { return "counting"; }
+  Result<TxnDescriptor> Begin(const TxnOptions&) override {
+    return Status::InvalidArgument("unused");
+  }
+  Result<Value> Read(const TxnDescriptor&, GranuleRef) override {
+    return next_read++;
+  }
+  Status Write(const TxnDescriptor&, GranuleRef granule,
+               Value value) override {
+    writes.push_back({granule, value});
+    return Status::OK();
+  }
+  Status Commit(const TxnDescriptor&) override {
+    return Status::InvalidArgument("unused");
+  }
+  Status Abort(const TxnDescriptor&) override {
+    return Status::InvalidArgument("unused");
+  }
+
+  Value next_read = 10;
+  std::vector<std::pair<GranuleRef, Value>> writes;
+};
+
+// The program borrows the request and the caller's buffer. A retry runs
+// the body again: the buffer then holds the last run's reads only.
+TEST(Protocol, ToTxnProgramRetryKeepsOnlyTheLastRunsReads) {
+  SubmitRequest submit;
+  submit.txn_class = 1;
+  submit.ops = {
+      {WireOp::Kind::kRead, {0, 1}, 0},
+      {WireOp::Kind::kWrite, {1, 2}, 7},
+      {WireOp::Kind::kRead, {1, 3}, 0},
+  };
+  std::vector<Value> values;
+  const TxnProgram program = ToTxnProgram(submit, &values);
+  CountingController cc;
+  const TxnDescriptor txn;
+  ASSERT_TRUE(program.body(cc, txn).ok());
+  EXPECT_EQ(values, (std::vector<Value>{10, 11}));
+  ASSERT_TRUE(program.body(cc, txn).ok());
+  EXPECT_EQ(values, (std::vector<Value>{12, 13}));
+  ASSERT_EQ(cc.writes.size(), 2u);
+  EXPECT_EQ(cc.writes[1].first, (GranuleRef{1, 2}));
+  EXPECT_EQ(cc.writes[1].second, 7);
 }
 
 }  // namespace

@@ -375,33 +375,6 @@ TEST_F(NetServerTest, MalformedPayloadAnswersErrorUnknownClassToo) {
   server_->Stop();
 }
 
-TEST_F(NetServerTest, EpochBackendAnswersPipelinedTraffic) {
-  ServerOptions options;
-  options.backend = ServerOptions::Backend::kEpoch;
-  options.epoch_size = 16;
-  options.num_workers = 2;
-  StartServer(options);
-  SyncClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
-  constexpr int kRequests = 50;
-  for (int i = 0; i < kRequests; ++i) {
-    ASSERT_TRUE(client
-                    .Send(Submit(static_cast<std::uint64_t>(i), i % 4,
-                                 {{WireOp::Kind::kWrite,
-                                   {i % 4, static_cast<std::uint32_t>(i % 64)},
-                                   i}}))
-                    .ok());
-  }
-  int committed = 0;
-  for (int i = 0; i < kRequests; ++i) {
-    const Result<ResponseMsg> msg = client.Recv();
-    ASSERT_TRUE(msg.ok()) << msg.status();
-    if (msg->type == NetMsgType::kResult && msg->committed) ++committed;
-  }
-  EXPECT_EQ(committed, kRequests);
-  server_->Stop();
-}
-
 TEST_F(NetServerTest, LoadDriverRoundTripAndGracefulStop) {
   ServerOptions options;
   options.num_io_threads = 2;

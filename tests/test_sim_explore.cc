@@ -29,6 +29,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <iostream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -1293,6 +1294,123 @@ TEST(SimExplore, RedecompCrashRecoverySweep) {
             << crash_counters.recoveries.load() << " recoveries, "
             << counters.restructures.load() << " restructures over "
             << report.runs << " seeds" << std::endl;
+}
+
+// ---------------------------------------------------------------------------
+// Trace digest: one line `<sweep> <seed> <hash>` per seeded run, the hash
+// (FNV-1a) covering the run's decision trace, its choices and its
+// failure text. A change that claims to move no yield site shows it by
+// printing the same lines as its parent build: run
+//
+//   test_sim_explore --gtest_also_run_disabled_tests
+//                    --gtest_filter=SimExplore.DISABLED_TraceDigest
+//
+// on both builds and diff the outputs. Fixed seeds; no environment knob
+// applies.
+
+std::uint64_t DigestOf(const SimRunReport& report) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (word >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const std::uint64_t word : report.trace) mix(word);
+  mix(~std::uint64_t{0});  // separates the trace from the choices
+  for (const int choice : report.choices) {
+    mix(static_cast<std::uint64_t>(choice));
+  }
+  mix(~std::uint64_t{0});
+  for (const char c : report.failure) mix(static_cast<unsigned char>(c));
+  return hash;
+}
+
+// The dist sweeps' shape (test_dist_sim.cc): 2 nodes, depth 4, segment 3
+// owned by node 0 so the two-phase commit path runs, WAL group commit.
+DistWorldOptions DistDigestOptions(const SimScheduler& sched) {
+  DistWorldOptions options;
+  options.num_nodes = 2;
+  options.depth = 4;
+  options.granules_per_segment = 2;
+  options.owner_overrides = {{SegmentId{3}, 0}};
+  options.txns_per_node = 4;
+  options.workers_per_node = 2;
+  options.pumps_per_node = 2;
+  options.read_only_fraction = 0.3;
+  options.own_reads = 1;
+  options.own_writes = 2;
+  options.upper_reads = 1;
+  options.with_wal = true;
+  options.wal.group.mode = WalSyncMode::kGroupCommit;
+  options.transport.seed = sched.seed() * 0x9E3779B97F4A7C15ULL + 0xD1D5;
+  options.workload_seed = sched.seed() * 31 + 7;
+  return options;
+}
+
+// A DistWorld run of the message-fault sweep (`crash` false) or of the
+// cluster-crash sweep's schedule; a crashed run reports no failure (its
+// recovery is test_dist_sim's to check).
+SimWorkloadFn DistDigestRun(bool crash) {
+  return [crash](SimScheduler& sched) -> std::string {
+    DistWorldOptions options = DistDigestOptions(sched);
+    if (crash) {
+      options.txns_per_node = 5;
+      options.transport.delay_prob = 0.15;
+      options.transport.duplicate_prob = 0.10;
+    } else {
+      options.num_nodes = 2 + static_cast<int>(sched.seed() % 3);
+      options.transport.delay_prob = 0.25;
+      options.transport.reorder_prob = 0.25;
+      options.transport.duplicate_prob = 0.15;
+    }
+    DistWorld world(options, &sched);
+    if (!world.init_error().empty()) return world.init_error();
+    const std::string run = world.RunWorkload();
+    if (sched.halted()) return "";
+    if (!run.empty()) return run;
+    return world.CheckHistory();
+  };
+}
+
+TEST(SimExplore, DISABLED_TraceDigest) {
+  FaultInjectorConfig crash_faults = SweepFaults();
+  crash_faults.process_crash_prob = 0.002;
+  FaultInjectorConfig dist_faults;
+  dist_faults.abort_prob = 0.10;
+  dist_faults.stall_prob = 0.10;
+  dist_faults.spurious_wakeup_prob = 0.05;
+  dist_faults.delayed_wakeup_prob = 0.10;
+  FaultInjectorConfig dist_crash_faults = dist_faults;
+  dist_crash_faults.process_crash_prob = 0.001;
+  WalOptions wopts;
+  wopts.group.mode = WalSyncMode::kGroupCommit;
+  CrashSweepCounters counters;
+  const struct {
+    const char* label;
+    FaultInjectorConfig faults;
+    std::uint64_t seeds;
+    SimWorkloadFn fn;
+  } sweeps[] = {
+      {"per-txn", SweepFaults(), 200, HddWorkload(HddShape())},
+      {"epoch", SweepFaults(), 200,
+       HddEpochWorkload(HddShape(), /*epoch_size=*/4)},
+      {"wal-crash", crash_faults, 100,
+       WalCrashWorkload(HddShape(), wopts, /*checkpoint_every=*/4,
+                        &counters)},
+      {"dist-message-fault", dist_faults, 100, DistDigestRun(false)},
+      {"dist-cluster-crash", dist_crash_faults, 100, DistDigestRun(true)},
+  };
+  for (const auto& sweep : sweeps) {
+    for (std::uint64_t seed = 1; seed <= sweep.seeds; ++seed) {
+      SimScheduler::Options options;
+      options.faults = sweep.faults;
+      options.seed = seed;
+      std::cout << sweep.label << " " << seed << " "
+                << DigestOf(RunSimulation(options, sweep.fn)) << "\n";
+    }
+  }
+  std::cout << std::flush;
 }
 
 // ---------------------------------------------------------------------------
