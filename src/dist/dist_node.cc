@@ -17,12 +17,17 @@ namespace hdd {
 //     finishes cannot change I^old(v): the reply is the value every
 //     evaluation at v returns, now or later, which is also why the
 //     requester may memoize it.
-//  2. The bound is fixed before the version is chosen. A kSnapshotReq
-//     carries the finished A_i^j(I(t)); the owner only selects the latest
+//  2. The bound is fixed before the version is chosen, and the reply
+//     waits only for that version's durability. A kSnapshotReq carries
+//     the finished A_i^j(I(t)); the owner only selects the latest
 //     committed version below it, under the segment's shard latch. By
 //     Theorem 1 every transaction that can write below that bound has
 //     finished, and 2PC marks remote copies committed before the
-//     coordinator deregisters, so the selection is final.
+//     coordinator deregisters, so the selection is final. The version
+//     was committed by a WAL record at or before the granule's newest
+//     commit record, whose ticket the owner reads in the same latch
+//     window, so waiting for that one ticket covers it; a commit newer
+//     than the bound only makes the wait conservative.
 //  3. The owner records nothing. Neither handler sets a read lock or a
 //     read timestamp or keeps any note of the reader, so registration
 //     stays a structural zero (MessageCounters::registration_messages).
@@ -37,17 +42,18 @@ Result<std::string> DistNode::Handle(int from, const std::string& request) {
     }
     case DistMsgType::kSnapshotReq: {
       HDD_ASSIGN_OR_RETURN(SnapshotReq req, DecodeSnapshotReq(request));
+      // Cross-node read barrier. A local reader of a version that is not
+      // yet durable draws a higher ticket from the same WAL, so its own
+      // ack waits for that version's sync; a remote reader's ack draws
+      // its ticket from another node's WAL, which covers nothing here.
+      // So the reply waits for the sync itself, of the granule's newest
+      // commit record only (point 2), never for everything appended so
+      // far: the served version survives this node's recovery, and a
+      // requester's acked result never dangles.
       HDD_ASSIGN_OR_RETURN(
           const Version version,
-          cc_->CommittedVersionBelow(GranuleRef{req.segment, req.index},
-                                     req.bound));
-      // Cross-node read barrier: a committed version is marked in memory
-      // in the same latch window that appends its commit record, but the
-      // single-WAL ticket argument that makes local acked reads
-      // crash-proof does not span nodes. Syncing this node's WAL before
-      // the reply leaves guarantees the served version survives recovery
-      // — a requester's acked result never dangles.
-      HDD_RETURN_IF_ERROR(cc_->AwaitWalReadStable());
+          cc_->DurableVersionBelow(GranuleRef{req.segment, req.index},
+                                   req.bound));
       return EncodeSnapshotReply(SnapshotReply{version.order_key,
                                                version.value});
     }

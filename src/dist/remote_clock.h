@@ -19,9 +19,16 @@ namespace hdd {
 ///
 /// Each Tick is one synchronous RPC. That is the honest price of a
 /// centralized timestamp authority and is acceptable for the shard
-/// deployment's scale; a controller latch may be held across the call,
-/// which delays local peers but cannot deadlock — the clock handler
-/// touches no controller state.
+/// deployment's scale. A class's shard latch is held across the call:
+/// Begin ticks the initiation time and a commit ticks the finish time
+/// under it (HddController), so every other user of that class's latch
+/// waits out the round trip, a peer's kActivityReq for the class
+/// included. That delays them but cannot deadlock, for two reasons: the
+/// clock handler touches no controller state, and the calling thread
+/// reads its own reply (SocketTransport gives each concurrent caller its
+/// own connection). A transport that read replies on a thread which also
+/// ran handlers would deadlock here: a handler waiting for the latch would
+/// stall the read of the latch holder's tick reply.
 ///
 /// Transport failure cannot be surfaced through Tick's signature, so the
 /// first error is latched (last_error()) and the clock falls back to a

@@ -93,6 +93,8 @@ class ShardServer {
   HddController& controller() { return *cc_; }
   DistSession& session() { return *session_; }
   SocketTransport& transport() { return *transport_; }
+  /// The front end's metrics and the transport's per-type RPC latency
+  /// histograms (dist_call_us_<type>, dist_handle_us_<type>).
   const MetricsRegistry& metrics() const { return metrics_; }
   const std::string& init_error() const { return init_error_; }
 
@@ -101,6 +103,9 @@ class ShardServer {
   SyntheticWorkload workload_;
   std::optional<HierarchySchema> schema_;
   ShardMap map_;
+  /// Declared before the transport and the front end, which record into
+  /// it, so it outlives both.
+  MetricsRegistry metrics_;
   std::unique_ptr<SocketTransport> transport_;
   std::unique_ptr<LogicalClock> clock_;  // LogicalClock or RemoteClock
   std::unique_ptr<SimWalStorage> storage_;
@@ -109,7 +114,6 @@ class ShardServer {
   std::unique_ptr<HddController> cc_;
   std::unique_ptr<DistNode> node_;
   std::unique_ptr<DistSession> session_;
-  MetricsRegistry metrics_;
   std::unique_ptr<HddServer> front_;
   bool started_ = false;
   bool stopped_ = false;

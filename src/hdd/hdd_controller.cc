@@ -1132,6 +1132,14 @@ Result<std::uint64_t> HddController::InstallCommit(const TxnRuntime& runtime,
       }
       ticket = *appended;
     }
+    // A remote snapshot of these granules waits for this ticket, the last
+    // of the transaction's commit records (DurableVersionBelow). 0: no WAL,
+    // or the first append failed; either way no record to wait for.
+    if (ticket != 0) {
+      for (GranuleRef granule : runtime.writes) {
+        db_->granule(granule).set_commit_ticket(ticket);
+      }
+    }
     if (finish) shard->table.OnFinish(txn.init_ts, clock_->Tick());
   }
   SimNotifyAll(shard->cv, shard);
@@ -1668,13 +1676,35 @@ Result<std::vector<Timestamp>> HddController::OldestActiveAlong(
 Result<Version> HddController::CommittedVersionBelow(GranuleRef granule,
                                                      Timestamp bound) {
   std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::uint64_t ticket = 0;
+  return SelectCommittedBelow(granule, bound, &ticket);
+}
+
+Result<Version> HddController::DurableVersionBelow(GranuleRef granule,
+                                                   Timestamp bound) {
+  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::uint64_t ticket = 0;
+  HDD_ASSIGN_OR_RETURN(const Version version,
+                       SelectCommittedBelow(granule, bound, &ticket));
+  gate.unlock();
+  // Ticket 0 still asks the WAL: its sticky error fails every snapshot,
+  // even of a granule whose versions are all durable.
+  if (wal_ != nullptr) HDD_RETURN_IF_ERROR(wal_->WaitDurable(ticket));
+  return version;
+}
+
+Result<Version> HddController::SelectCommittedBelow(GranuleRef granule,
+                                                    Timestamp bound,
+                                                    std::uint64_t* ticket) {
   HDD_RETURN_IF_ERROR(db_->Validate(granule));
   ClassShard* shard = shards_[class_of_segment_[granule.segment]].get();
   std::lock_guard<std::mutex> shard_lock(shard->mu);
-  const Version* version = db_->granule(granule).LatestCommittedBefore(bound);
+  const Granule& g = db_->granule(granule);
+  const Version* version = g.LatestCommittedBefore(bound);
   if (version == nullptr) {
     return Status::Internal("no committed version below bound");
   }
+  *ticket = g.commit_ticket();
   return *version;
 }
 
@@ -1692,11 +1722,6 @@ Status HddController::RecordExternalRead(const TxnDescriptor& txn,
   recorder_.RecordRead(runtime->descriptor.id, granule, version_key,
                        /*registered=*/false, bound);
   return Status::OK();
-}
-
-Status HddController::AwaitWalReadStable() {
-  if (wal_ == nullptr) return Status::OK();
-  return wal_->AwaitReadStable();
 }
 
 Status HddController::PrepareExternal(
@@ -1769,13 +1794,20 @@ Status HddController::CommitExternal(SegmentId segment, TxnId txn,
   {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     Segment& seg = db_->segment(segment);
+    std::vector<Granule*> marked;
     for (std::uint32_t i = 0; i < seg.size(); ++i) {
       Version* v = seg.granule(i).Find(init_ts);
-      if (v != nullptr && v->creator == txn) v->committed = true;
+      if (v != nullptr && v->creator == txn) {
+        v->committed = true;
+        marked.push_back(&seg.granule(i));
+      }
     }
     if (wal_ != nullptr) {
       HDD_ASSIGN_OR_RETURN(commit_ticket,
                            wal_->LogCommit(segment, txn, init_ts, {segment}));
+      // As in InstallCommit: a remote snapshot of these granules waits
+      // for this record.
+      for (Granule* g : marked) g->set_commit_ticket(commit_ticket);
     }
   }
   SimNotifyAll(shard->cv, shard);

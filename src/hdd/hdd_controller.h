@@ -264,14 +264,21 @@ class HddController : public ConcurrencyController {
   /// once W's versions here are marked committed (the 2PC commit step
   /// runs before the home node's OnFinish), so skipping them never starves
   /// a legal bounded read.
+  /// Local reads use it as is: the reader's own commit draws a higher WAL
+  /// ticket than the record that committed the version, so the reader's
+  /// ack already waits for that record.
   Result<Version> CommittedVersionBelow(GranuleRef granule, Timestamp bound);
 
-  /// Blocks until every WAL record appended so far is durable — in
-  /// particular the commit record of every version a concurrent
-  /// CommittedVersionBelow returned. The snapshot handler runs this
-  /// before replying, extending the local acked-reads-are-durable ticket
-  /// argument across nodes. No-op without a WAL.
-  Status AwaitWalReadStable();
+  /// CommittedVersionBelow for a remote reader, whose ack no ticket of
+  /// this node's WAL covers: selects the version and reads the granule's
+  /// commit_ticket() under the shard latch, then waits with no latch held
+  /// until that ticket is durable. The ticket is the granule's newest
+  /// commit record, at or after the one that committed the selected
+  /// version, so the served version survives a crash of this node. Under
+  /// group commit an already durable ticket costs no sync and no yield; a
+  /// failed WAL (sticky) fails every call, whatever the ticket. No wait
+  /// without a WAL.
+  Result<Version> DurableVersionBelow(GranuleRef granule, Timestamp bound);
 
   /// Books a Protocol A read whose bound the dist session evaluated and
   /// whose version the owner (this node or a remote one) selected: bumps
@@ -415,6 +422,11 @@ class HddController : public ConcurrencyController {
   /// (a local Commit, not a 2PC coordinator) also ends it in the activity
   /// table there. Returns the last commit ticket, 0 without a WAL.
   Result<std::uint64_t> InstallCommit(const TxnRuntime& runtime, bool finish);
+  /// Body of CommittedVersionBelow and DurableVersionBelow (caller holds
+  /// the structure gate): the version, and the granule's commit ticket in
+  /// `ticket`, read under the owning class's shard latch.
+  Result<Version> SelectCommittedBelow(GranuleRef granule, Timestamp bound,
+                                       std::uint64_t* ticket);
   /// Waits until `ticket` is durable (no-op for 0) with the gate released.
   Status AwaitDurable(std::shared_lock<std::shared_mutex>& gate,
                       std::uint64_t ticket);

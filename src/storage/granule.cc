@@ -138,6 +138,7 @@ Status Granule::RestoreVersions(std::vector<Version> versions) {
     }
   }
   versions_ = std::move(versions);
+  commit_ticket_ = 0;
   wts_ordered_ = std::all_of(
       versions_.begin(), versions_.end(),
       [](const Version& v) { return v.order_key == v.wts; });

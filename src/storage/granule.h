@@ -2,6 +2,7 @@
 #define HDD_STORAGE_GRANULE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -72,7 +73,18 @@ class Granule {
 
   /// Replaces the whole chain (snapshot restore / recovery tooling).
   /// `versions` must be non-empty and strictly ordered by order_key.
+  /// Clears commit_ticket(): restored versions are durable by construction,
+  /// and a ticket from an older WAL would name a record the attached one
+  /// has not issued.
   Status RestoreVersions(std::vector<Version> versions);
+
+  /// WAL ticket of the newest commit record that marked one of this
+  /// granule's versions committed; 0 when none did since the granule was
+  /// built or restored. Every version committed here is durable once this
+  /// ticket is, which is all a remote reader of the granule waits for.
+  /// Set under the owning class's shard latch (HddController).
+  std::uint64_t commit_ticket() const { return commit_ticket_; }
+  void set_commit_ticket(std::uint64_t ticket) { commit_ticket_ = ticket; }
 
   /// Garbage-collects committed versions that can no longer be read: every
   /// committed version older (by wts) than the newest committed version
@@ -89,6 +101,7 @@ class Granule {
   /// good by the first other insert (2PL, serial and OCC key by write
   /// sequence and stamp wts at commit); RestoreVersions recomputes it.
   bool wts_ordered_ = true;
+  std::uint64_t commit_ticket_ = 0;
 };
 
 }  // namespace hdd

@@ -20,6 +20,7 @@
 
 #include "engine/harness.h"
 #include "engine/synthetic_workload.h"
+#include "held_sync_storage.h"
 #include "net/admission.h"
 #include "net/client.h"
 #include "net/loopback.h"
@@ -399,35 +400,6 @@ TEST_F(NetServerTest, LoadDriverRoundTripAndGracefulStop) {
   EXPECT_EQ(server_->connection_count(), 0u);
   EXPECT_EQ(metrics_.GetGauge("net_connections").Value(), 0u);
 }
-
-// An in-memory WAL storage whose Sync blocks while the test holds it, so
-// a test can watch what the server answers before the disk confirms.
-class HeldSyncStorage : public SimWalStorage {
- public:
-  void Hold() {
-    std::lock_guard<std::mutex> lock(mu_);
-    held_ = true;
-  }
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      held_ = false;
-    }
-    cv_.notify_all();
-  }
-  Status Sync(const std::string& name) override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return !held_; });
-    }
-    return SimWalStorage::Sync(name);
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool held_ = false;
-};
 
 // A served HDD controller over a group-commit WAL on HeldSyncStorage.
 class DurableServerTest : public ::testing::Test {
