@@ -75,11 +75,66 @@ Result<Timestamp> DistLinkEvaluator::ComposeOldestActive(
 DistSession::DistSession(int node_id, const ShardMap* map,
                          Transport* transport, HddController* cc,
                          DistOptions options)
-    : node_id_(node_id),
+    : ConcurrencyController(&cc->db(), &cc->clock()),
+      node_id_(node_id),
       map_(map),
       transport_(transport),
       cc_(cc),
       options_(options) {}
+
+Result<TxnDescriptor> DistSession::Begin(const TxnOptions& options) {
+  // Placement, decided before any effect. The class or the scope is
+  // validated before any shard-map lookup: a wild id would index the map
+  // out of bounds.
+  TxnPlan plan(DistLinkEvaluator(node_id_, map_, transport_, cc_));
+  if (!options.read_only) {
+    if (options.txn_class < 0 || options.txn_class >= map_->num_segments()) {
+      return Status::InvalidArgument("dist: no such update class");
+    }
+    if (map_->home(options.txn_class) != node_id_) {
+      // Misrouted: the Protocol B path is single-sited at the class's
+      // home. Fail loudly, never execute against a stand-in.
+      return Status::InvalidArgument(
+          "dist: update transactions run at their class's home node");
+    }
+  } else {
+    // Time walls are node-local consistent cuts; a cross-shard wall read
+    // would be unsound, so ad-hoc unscoped RO is not offered.
+    HDD_ASSIGN_OR_RETURN(const ClassId host,
+                         cc_->ResolveHostClass(options.read_scope));
+    plan.local_plain = !options_.mutation_stale_bound_snapshot;
+    for (const SegmentId s : options.read_scope) {
+      const ClassId c = cc_->ClassOfSegment(s);
+      if (map_->home(c) != node_id_ || map_->owner(s) != node_id_) {
+        plan.local_plain = false;
+      }
+    }
+    // On the bounded path the local controller still hosts the reader
+    // (its I(t) is a registered stab); the reads go through this session.
+    if (!plan.local_plain) {
+      plan.host = host;
+      plan.scope = options.read_scope;
+    }
+  }
+  HDD_ASSIGN_OR_RETURN(const TxnDescriptor txn, cc_->Begin(options));
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  plans_.emplace(txn.id, std::move(plan));
+  return txn;
+}
+
+Result<DistSession::TxnPlan*> DistSession::FindPlan(const TxnDescriptor& txn) {
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  const auto it = plans_.find(txn.id);
+  if (it == plans_.end()) {
+    return Status::FailedPrecondition("unknown or finished transaction");
+  }
+  return &it->second;
+}
+
+void DistSession::ErasePlan(const TxnDescriptor& txn) {
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  plans_.erase(txn.id);
+}
 
 Result<Value> DistSession::BoundedRead(const TxnDescriptor& txn,
                                        GranuleRef granule, Timestamp bound) {
@@ -107,11 +162,11 @@ Result<Value> DistSession::BoundedRead(const TxnDescriptor& txn,
   return served.value;
 }
 
-Result<Value> DistSession::ReadOp(const TxnDescriptor& txn, GranuleRef granule,
-                                  bool local_plain,
-                                  const std::vector<SegmentId>& scope,
-                                  AttemptState& state) {
-  if (local_plain) return cc_->Read(txn, granule);
+Result<Value> DistSession::Read(const TxnDescriptor& txn, GranuleRef granule) {
+  // Validated before any class or shard-map lookup.
+  HDD_RETURN_IF_ERROR(db().Validate(granule));
+  HDD_ASSIGN_OR_RETURN(TxnPlan* const plan, FindPlan(txn));
+  if (plan->local_plain) return cc_->Read(txn, granule);
   const TstAnalysis& tst = cc_->class_tst();
   const ClassId target = cc_->ClassOfSegment(granule.segment);
 
@@ -141,29 +196,77 @@ Result<Value> DistSession::ReadOp(const TxnDescriptor& txn, GranuleRef granule,
     }
     Timestamp bound = txn.init_ts;  // the canary's "unbounded" snapshot
     if (!options_.mutation_stale_bound_snapshot) {
-      HDD_ASSIGN_OR_RETURN(bound, state.links.A(own, target, txn.init_ts));
+      HDD_ASSIGN_OR_RETURN(bound, plan->links.A(own, target, txn.init_ts));
     }
     return BoundedRead(txn, granule, bound);
   }
 
   // Hosted read-only transaction on the bounded path (§5.0 generalized):
   // reads must stay inside the declared scope.
-  if (std::find(scope.begin(), scope.end(), granule.segment) == scope.end()) {
+  if (std::find(plan->scope.begin(), plan->scope.end(), granule.segment) ==
+      plan->scope.end()) {
     return Status::InvalidArgument("dist: read outside declared scope");
   }
   Timestamp bound = txn.init_ts;  // the canary's "unbounded" snapshot
   if (!options_.mutation_stale_bound_snapshot) {
     // The base I^old_h(I(t)) is memoized, so later reads reuse it.
     HDD_ASSIGN_OR_RETURN(const Timestamp base,
-                         state.links.OldestActiveAt(state.host, txn.init_ts));
-    HDD_ASSIGN_OR_RETURN(bound, state.links.A(state.host, target, base));
+                         plan->links.OldestActiveAt(plan->host, txn.init_ts));
+    HDD_ASSIGN_OR_RETURN(bound, plan->links.A(plan->host, target, base));
   }
   return BoundedRead(txn, granule, bound);
 }
 
+Status DistSession::Write(const TxnDescriptor& txn, GranuleRef granule,
+                          Value value) {
+  HDD_RETURN_IF_ERROR(cc_->Write(txn, granule, value));
+  if (map_->owner(granule.segment) != node_id_) {
+    HDD_ASSIGN_OR_RETURN(TxnPlan* const plan, FindPlan(txn));
+    plan->remote_writes[granule.segment].emplace_back(granule.index, value);
+  }
+  return Status::OK();
+}
+
+Status DistSession::Commit(const TxnDescriptor& txn) {
+  HDD_ASSIGN_OR_RETURN(TxnPlan* const plan, FindPlan(txn));
+  // A SimFault unwinding from here leaves the plan in place, so the
+  // driver's Abort still reaches every prepared participant.
+  Status status;
+  if (plan->remote_writes.empty()) {
+    status = cc_->Commit(txn);
+  } else {
+    status = PrepareRemotes(txn, *plan);
+    if (status.ok()) {
+      // The local durable commit record IS the decision: before it an
+      // abort is still possible, after it only roll-forward.
+      status = cc_->CommitDurablePhase(txn);
+    }
+    if (status.ok()) {
+      CommitRemotes(txn, *plan);
+      (void)cc_->FinishDistributedCommit(txn);
+    }
+  }
+  if (!status.ok()) {
+    // The driver does not abort after a failed Commit, so this does.
+    AbortRemotes(txn, *plan);
+    (void)cc_->Abort(txn);  // best effort; the txn may already be gone
+  }
+  ErasePlan(txn);
+  return status;
+}
+
+Status DistSession::Abort(const TxnDescriptor& txn) {
+  const Result<TxnPlan*> plan = FindPlan(txn);
+  if (plan.ok()) {
+    AbortRemotes(txn, **plan);
+    ErasePlan(txn);
+  }
+  return cc_->Abort(txn);
+}
+
 Status DistSession::PrepareRemotes(const TxnDescriptor& txn,
-                                   AttemptState& state) {
-  for (const auto& [segment, writes] : state.remote_writes) {
+                                   TxnPlan& plan) {
+  for (const auto& [segment, writes] : plan.remote_writes) {
     PrepareReq req;
     req.txn = txn.id;
     req.init_ts = txn.init_ts;
@@ -173,13 +276,13 @@ Status DistSession::PrepareRemotes(const TxnDescriptor& txn,
         transport_->Call(node_id_, map_->owner(segment), EncodePrepareReq(req),
                          /*interruptible=*/true);
     if (!ack.ok()) return ack.status();
-    state.prepared.push_back(segment);
+    plan.prepared.push_back(segment);
   }
   return Status::OK();
 }
 
-void DistSession::AbortRemotes(const TxnDescriptor& txn, AttemptState& state) {
-  for (const SegmentId segment : state.prepared) {
+void DistSession::AbortRemotes(const TxnDescriptor& txn, TxnPlan& plan) {
+  for (const SegmentId segment : plan.prepared) {
     TxnSegmentReq req;
     req.txn = txn.id;
     req.init_ts = txn.init_ts;
@@ -188,15 +291,14 @@ void DistSession::AbortRemotes(const TxnDescriptor& txn, AttemptState& state) {
                            EncodeTxnSegmentReq(DistMsgType::kAbortReq, req),
                            /*interruptible=*/false);
   }
-  state.prepared.clear();
+  plan.prepared.clear();
 }
 
-void DistSession::CommitRemotes(const TxnDescriptor& txn,
-                                AttemptState& state) {
+void DistSession::CommitRemotes(const TxnDescriptor& txn, TxnPlan& plan) {
   // The decision is durable: roll forward until every participant acked.
   // CommitExternal is idempotent, so retrying a possibly-delivered call
   // is safe; calls are non-interruptible (no fault may unwind this).
-  for (const SegmentId segment : state.prepared) {
+  for (const SegmentId segment : plan.prepared) {
     TxnSegmentReq req;
     req.txn = txn.id;
     req.init_ts = txn.init_ts;
@@ -210,122 +312,7 @@ void DistSession::CommitRemotes(const TxnDescriptor& txn,
       SimSleep(std::chrono::microseconds(50));
     }
   }
-  state.prepared.clear();
-}
-
-DistTxnResult DistSession::Run(const DistProgram& program, int max_retries,
-                               SimScheduler* sim) {
-  DistTxnResult result;
-
-  // Placement + path selection, fixed across attempts.
-  bool local_plain = false;
-  ClassId host = kReadOnlyClass;
-  if (!program.options.read_only) {
-    if (map_->home(program.options.txn_class) != node_id_) {
-      result.failed = true;  // misrouted: update txns run at their home
-      return result;
-    }
-  } else {
-    // Time walls are node-local consistent cuts; a cross-shard wall read
-    // would be unsound, so ad-hoc unscoped RO is not offered. The scope is
-    // validated, and its §5.0 host class found, before any shard-map
-    // lookup: a wild segment id would index the map out of bounds.
-    const std::vector<SegmentId>& scope = program.options.read_scope;
-    const Result<ClassId> resolved = cc_->ResolveHostClass(scope);
-    if (!resolved.ok()) {
-      result.failed = true;
-      return result;
-    }
-    local_plain = !options_.mutation_stale_bound_snapshot;
-    for (const SegmentId s : scope) {
-      const ClassId c = cc_->ClassOfSegment(s);
-      if (map_->home(c) != node_id_ || map_->owner(s) != node_id_) {
-        local_plain = false;
-      }
-    }
-    // On the bounded path the local controller still hosts the reader
-    // (its I(t) is a registered stab); the reads go through this session.
-    if (!local_plain) host = *resolved;
-  }
-
-  static_cast<ProgramResult&>(result) = RunWithRetries(
-      *cc_, program.options, max_retries, sim, [&](const TxnDescriptor& txn) {
-        AttemptState state(DistLinkEvaluator(node_id_, map_, transport_, cc_));
-        state.host = host;
-        const AttemptOutcome outcome =
-            RunAttempt(program, txn, local_plain, state);
-        if (outcome == AttemptOutcome::kCommitted) {
-          result.values = std::move(state.values);
-        }
-        return outcome;
-      });
-  return result;
-}
-
-AttemptOutcome DistSession::RunAttempt(const DistProgram& program,
-                                       const TxnDescriptor& txn,
-                                       bool local_plain, AttemptState& state) {
-  Status status;
-  bool faulted = false;
-  bool fault_crash = false;
-  try {
-    for (const DistOp& op : program.ops) {
-      if (op.is_write) {
-        status = cc_->Write(txn, op.granule, op.value);
-        if (status.ok() && map_->owner(op.granule.segment) != node_id_) {
-          state.remote_writes[op.granule.segment].emplace_back(
-              op.granule.index, op.value);
-        }
-      } else {
-        Result<Value> value = ReadOp(txn, op.granule, local_plain,
-                                     program.options.read_scope, state);
-        status = value.status();
-        if (value.ok()) state.values.push_back(*value);
-      }
-      if (!status.ok()) break;
-    }
-    if (status.ok()) {
-      bool committed = false;
-      if (state.remote_writes.empty()) {
-        status = cc_->Commit(txn);
-        committed = status.ok();
-      } else {
-        status = PrepareRemotes(txn, state);
-        if (status.ok()) {
-          // The local durable commit record IS the decision: before it
-          // an abort is still possible, after it only roll-forward.
-          status = cc_->CommitDurablePhase(txn);
-        }
-        if (status.ok()) {
-          CommitRemotes(txn, state);
-          (void)cc_->FinishDistributedCommit(txn);
-          committed = true;
-        }
-      }
-      if (committed) return AttemptOutcome::kCommitted;
-      AbortRemotes(txn, state);
-      (void)cc_->Abort(txn);
-      return status.IsRetryable() ? AttemptOutcome::kRetry
-                                  : AttemptOutcome::kFailed;
-    }
-  } catch (const SimFault& fault) {
-    faulted = true;
-    fault_crash = fault.kind == SimFaultKind::kCrash;
-  }
-  if (fault_crash) {
-    // Coordinator "crash": the driver vanishes without aborting its
-    // prepared participants. Their versions stay uncommitted — invisible
-    // to every bounded read — which is exactly the classic blocked-2PC
-    // residue the sweep is meant to exercise.
-    return AttemptOutcome::kCrashed;
-  }
-  AbortRemotes(txn, state);
-  (void)cc_->Abort(txn);  // best effort; the txn may already be gone
-  if (faulted) return AttemptOutcome::kRetry;
-  if (status.IsRetryable() || status.code() == StatusCode::kBusy) {
-    return AttemptOutcome::kBackoff;
-  }
-  return AttemptOutcome::kFailed;
+  plan.prepared.clear();
 }
 
 }  // namespace hdd

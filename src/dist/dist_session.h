@@ -3,12 +3,15 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "cc/controller.h"
 #include "dist/shard_map.h"
 #include "dist/transport.h"
-#include "engine/driver.h"
 #include "hdd/hdd_controller.h"
 
 namespace hdd {
@@ -65,31 +68,21 @@ class DistLinkEvaluator {
   std::map<std::pair<ClassId, Timestamp>, Timestamp> memo_;
 };
 
-/// One client-visible operation of a distributed transaction program.
-struct DistOp {
-  bool is_write = false;
-  GranuleRef granule;
-  Value value = 0;  // writes only
-};
-
-struct DistProgram {
-  TxnOptions options;
-  std::vector<DistOp> ops;
-};
-
-struct DistTxnResult : ProgramResult {
-  /// Values read by the committed attempt, in op order (reads only).
-  std::vector<Value> values;
-};
-
-/// Drives transactions on one shard node of a distributed HDD deployment.
+/// The concurrency controller of one shard node in a distributed HDD
+/// deployment: the node's HddController seen through the shard map. It
+/// implements ConcurrencyController, so the one execution driver
+/// (engine/driver.h's RunProgram) runs a shard's programs exactly as it
+/// runs a single node's, whether the caller is the network server's
+/// worker pool or DistWorld. Where a class lives changes where an
+/// operation goes, never how the driver retries, aborts or acks.
 ///
 /// Placement rules (class ids are identical to segment ids — Restructure
 /// is not supported in sharded mode):
-///  * an update transaction of class c runs at home(c); its own-segment
-///    accesses go through the local controller (Protocol B), and the home
-///    node's stand-in chain for c's segment is write-authoritative since
-///    every writer of that segment runs here;
+///  * an update transaction of class c runs at home(c); Begin refuses it
+///    anywhere else, before any effect. Its own-segment accesses go
+///    through the local controller (Protocol B), and the home node's
+///    stand-in chain for c's segment is write-authoritative since every
+///    writer of that segment runs here;
 ///  * a cross-segment Protocol A read is served locally when every class
 ///    on the critical path is homed here AND the segment is owned here;
 ///    otherwise the session evaluates A_i^j(I(t)) with a DistLinkEvaluator
@@ -108,59 +101,82 @@ struct DistTxnResult : ProgramResult {
 ///    coordinator makes the commit durable locally, participants commit,
 ///    and only then does the transaction deregister — so no activity-link
 ///    bound anywhere can pass I(t) before every copy is committed.
-class DistSession {
+///
+/// Durability: a plain local commit goes through HddController::Commit,
+/// so inside a DeferredCommitWait scope (the served path) it parks its
+/// ticket like a single node's. The 2PC steps (a participant's prepare
+/// and commit, the coordinator's CommitDurablePhase) always wait for
+/// their sync: a vote or a decision never leaves before it is durable.
+///
+/// The session keeps each transaction's placement and 2PC state in one
+/// map keyed by transaction id; Begin adds the entry, Commit and Abort
+/// remove it. The node's HddController records every step and counts
+/// every commit; the session's own recorder and metrics stay empty.
+class DistSession : public ConcurrencyController {
  public:
   DistSession(int node_id, const ShardMap* map, Transport* transport,
               HddController* cc, DistOptions options = {});
 
-  /// Runs one program to completion with the executors' retry loop
-  /// (engine/driver.h's RunWithRetries: budget, SimFault at Begin,
-  /// backoff; `sim` may be null) around this session's own attempt body.
-  DistTxnResult Run(const DistProgram& program, int max_retries,
-                    SimScheduler* sim);
+  std::string_view name() const override { return cc_->name(); }
+
+  Result<TxnDescriptor> Begin(const TxnOptions& options) override;
+  Result<Value> Read(const TxnDescriptor& txn, GranuleRef granule) override;
+  /// The local write, buffered for the 2PC when another node owns the
+  /// segment.
+  Status Write(const TxnDescriptor& txn, GranuleRef granule,
+               Value value) override;
+  /// Commit, or the two-phase commit when writes were shipped. A failed
+  /// commit has already aborted the transaction and its participants.
+  Status Commit(const TxnDescriptor& txn) override;
+  /// Aborts the prepared participants, then the local transaction.
+  Status Abort(const TxnDescriptor& txn) override;
 
   HddController& controller() { return *cc_; }
   int node_id() const { return node_id_; }
 
  private:
-  struct AttemptState {
-    explicit AttemptState(DistLinkEvaluator evaluator)
+  /// One transaction's placement and 2PC state.
+  struct TxnPlan {
+    explicit TxnPlan(DistLinkEvaluator evaluator)
         : links(std::move(evaluator)) {}
 
     DistLinkEvaluator links;
-    ClassId host = kReadOnlyClass;  // hosted read-only txns (bounded path)
-    /// Writes destined for remotely-owned segments, accumulated by the op
-    /// loop and two-phased at commit.
+    /// A read-only transaction whose scope is all homed and owned here:
+    /// every read goes straight to the local controller.
+    bool local_plain = false;
+    /// Hosted read-only transactions on the bounded path: the host class
+    /// and the declared scope the reads must stay inside.
+    ClassId host = kReadOnlyClass;
+    std::vector<SegmentId> scope;
+    /// Writes destined for remotely-owned segments, two-phased at commit.
     std::map<SegmentId, std::vector<std::pair<std::uint32_t, Value>>>
         remote_writes;
     /// Segments successfully prepared at their owners (abort targets).
     std::vector<SegmentId> prepared;
-    std::vector<Value> values;
   };
 
-  /// One attempt on the begun `txn`: the ops (remote writes buffered for
-  /// 2PC), then Commit or the two-phase commit, Abort plus participant
-  /// aborts on failure. An injected crash skips every abort: the
-  /// coordinator vanishes and its prepared participants stay in doubt.
-  AttemptOutcome RunAttempt(const DistProgram& program,
-                            const TxnDescriptor& txn, bool local_plain,
-                            AttemptState& state);
-  Result<Value> ReadOp(const TxnDescriptor& txn, GranuleRef granule,
-                       bool local_plain, const std::vector<SegmentId>& scope,
-                       AttemptState& state);
+  /// The begun transaction's plan. The pointer stays valid until Commit
+  /// or Abort removes the entry: the map's nodes never move, and only the
+  /// thread driving `txn` touches its plan.
+  Result<TxnPlan*> FindPlan(const TxnDescriptor& txn);
+  void ErasePlan(const TxnDescriptor& txn);
+
   /// Bounded-path read: `bound` is final; the segment's owner (local or
   /// remote) serves the latest committed version below it.
   Result<Value> BoundedRead(const TxnDescriptor& txn, GranuleRef granule,
                             Timestamp bound);
-  Status PrepareRemotes(const TxnDescriptor& txn, AttemptState& state);
-  void AbortRemotes(const TxnDescriptor& txn, AttemptState& state);
-  void CommitRemotes(const TxnDescriptor& txn, AttemptState& state);
+  Status PrepareRemotes(const TxnDescriptor& txn, TxnPlan& plan);
+  void AbortRemotes(const TxnDescriptor& txn, TxnPlan& plan);
+  void CommitRemotes(const TxnDescriptor& txn, TxnPlan& plan);
 
   int node_id_;
   const ShardMap* map_;
   Transport* transport_;
   HddController* cc_;
   DistOptions options_;
+
+  std::mutex plans_mu_;
+  std::unordered_map<TxnId, TxnPlan> plans_;
 };
 
 }  // namespace hdd

@@ -43,17 +43,15 @@ DistWorld::DistWorld(DistWorldOptions options, SimScheduler* sched)
   transport_ = std::make_unique<SimTransport>(options_.num_nodes, topts);
   for (int n = 0; n < options_.num_nodes; ++n) {
     dbs_.push_back(workload_.MakeDatabase());
-    if (options_.with_wal) {
-      storages_.push_back(std::make_unique<SimWalStorage>());
-      Result<std::unique_ptr<WalManager>> wal = WalManager::Open(
-          storages_.back().get(), dbs_.back()->num_segments(), options_.wal);
-      if (!wal.ok()) {
-        init_error_ = wal.status().ToString();
-        return;
-      }
-      wals_.push_back(std::move(*wal));
-      dbs_.back()->AttachWal(wals_.back().get());
+    storages_.push_back(std::make_unique<SimWalStorage>());
+    Result<std::unique_ptr<WalManager>> wal = WalManager::Open(
+        storages_.back().get(), dbs_.back()->num_segments(), WalOptions{});
+    if (!wal.ok()) {
+      init_error_ = wal.status().ToString();
+      return;
     }
+    wals_.push_back(std::move(*wal));
+    dbs_.back()->AttachWal(wals_.back().get());
     HddControllerOptions copts;
     // Disjoint id ranges per node: the merged multi-node history needs
     // globally unique transaction ids.
@@ -81,7 +79,7 @@ DistWorld::DistWorld(DistWorldOptions options, SimScheduler* sched)
 
 DistWorld::~DistWorld() = default;
 
-DistProgram DistWorld::MakeProgram(int node, int index) const {
+TxnProgram DistWorld::MakeProgram(int node, int index) const {
   Rng rng(options_.workload_seed * 0x9E3779B97F4A7C15ULL +
           static_cast<std::uint64_t>(node) * 8191 +
           static_cast<std::uint64_t>(index) * 131 + 1);
@@ -89,7 +87,10 @@ DistProgram DistWorld::MakeProgram(int node, int index) const {
     return GranuleRef{s, static_cast<std::uint32_t>(
                              rng.NextBounded(options_.granules_per_segment))};
   };
-  DistProgram program;
+  // Every program reads first, then writes.
+  std::vector<GranuleRef> reads;
+  std::vector<std::pair<GranuleRef, Value>> writes;
+  TxnProgram program;
   if (rng.NextBool(options_.read_only_fraction)) {
     // Hosted read-only: scope = the chain from the root down to a random
     // class h (every scoped class above h is critical-path-reachable).
@@ -100,26 +101,36 @@ DistProgram DistWorld::MakeProgram(int node, int index) const {
       program.options.read_scope.push_back(static_cast<SegmentId>(s));
     }
     for (int s = 0; s <= h; ++s) {
-      program.ops.push_back(
-          DistOp{false, granule(static_cast<SegmentId>(s)), 0});
+      reads.push_back(granule(static_cast<SegmentId>(s)));
     }
-    return program;
-  }
-  const std::vector<ClassId> classes = map_.ClassesHomedAt(node);
-  const ClassId c = classes[rng.NextBounded(classes.size())];
-  program.options.txn_class = c;
-  for (SegmentId s = 0; s < c; ++s) {
-    for (int r = 0; r < options_.upper_reads; ++r) {
-      program.ops.push_back(DistOp{false, granule(s), 0});
+  } else {
+    const std::vector<ClassId> classes = map_.ClassesHomedAt(node);
+    const ClassId c = classes[rng.NextBounded(classes.size())];
+    program.options.txn_class = c;
+    for (SegmentId s = 0; s < c; ++s) {
+      for (int r = 0; r < options_.upper_reads; ++r) {
+        reads.push_back(granule(s));
+      }
+    }
+    for (int r = 0; r < options_.own_reads; ++r) reads.push_back(granule(c));
+    for (int w = 0; w < options_.own_writes; ++w) {
+      // The granule is drawn before the value.
+      const GranuleRef target = granule(c);
+      writes.emplace_back(target,
+                          static_cast<Value>(rng.NextBounded(1000000)));
     }
   }
-  for (int r = 0; r < options_.own_reads; ++r) {
-    program.ops.push_back(DistOp{false, granule(c), 0});
-  }
-  for (int w = 0; w < options_.own_writes; ++w) {
-    program.ops.push_back(DistOp{
-        true, granule(c), static_cast<Value>(rng.NextBounded(1000000))});
-  }
+  program.body = [reads = std::move(reads), writes = std::move(writes)](
+                     ConcurrencyController& cc,
+                     const TxnDescriptor& txn) -> Status {
+    for (const GranuleRef g : reads) {
+      HDD_RETURN_IF_ERROR(cc.Read(txn, g).status());
+    }
+    for (const auto& [g, value] : writes) {
+      HDD_RETURN_IF_ERROR(cc.Write(txn, g, value));
+    }
+    return Status::OK();
+  };
   return program;
 }
 
@@ -128,9 +139,9 @@ void DistWorld::WorkerBody(int node) {
   for (;;) {
     const int index = next.fetch_add(1);
     if (index >= options_.txns_per_node) break;
-    const DistProgram program = MakeProgram(node, index);
-    const DistTxnResult r =
-        sessions_[node]->Run(program, options_.max_retries, sched_);
+    const ProgramResult r = RunProgram(
+        *sessions_[node], MakeProgram(node, index), options_.max_retries,
+        sched_);
     if (r.committed) committed_.fetch_add(1);
     if (r.failed) failed_.fetch_add(1);
     if (r.crashed) crashed_.fetch_add(1);

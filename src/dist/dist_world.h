@@ -14,6 +14,7 @@
 #include "dist/shard_map.h"
 #include "dist/sim_transport.h"
 #include "engine/synthetic_workload.h"
+#include "engine/txn_program.h"
 #include "graph/dhg.h"
 #include "sim/sim_clock.h"
 #include "wal/wal_manager.h"
@@ -34,9 +35,6 @@ struct DistWorldOptions {
   /// cross-shard-update scenario (2PC path).
   std::vector<std::pair<SegmentId, int>> owner_overrides;
 
-  bool with_wal = true;
-  WalOptions wal;
-
   int txns_per_node = 6;
   int workers_per_node = 2;
   int pumps_per_node = 2;
@@ -54,12 +52,14 @@ struct DistWorldOptions {
 };
 
 /// N logical shard nodes in one process: per node a full-schema database
-/// (+ optional WAL on simulated storage), an HddController with a disjoint
-/// transaction-id range, a DistNode handler and a DistSession — wired
-/// through one SimTransport and one shared logical clock. Under a
-/// SimScheduler the whole cluster is deterministic (workers and message
-/// pumps are sim tasks); with `sched == nullptr` the same world runs on
-/// plain threads (the bench configuration).
+/// with a group-commit WAL on simulated storage, an HddController with a
+/// disjoint transaction-id range, a DistNode handler and a DistSession —
+/// wired through one SimTransport and one shared logical clock. Each
+/// worker drives its node's session through RunProgram, the driver every
+/// executor and the network server use. Under a SimScheduler the whole
+/// cluster is deterministic (workers and message pumps are sim tasks);
+/// with `sched == nullptr` the same world runs on plain threads (the
+/// bench configuration).
 class DistWorld {
  public:
   /// On construction failure `init_error()` is non-empty and the world
@@ -86,10 +86,6 @@ class DistWorld {
   /// non-halted run.
   std::string CheckHistory();
 
-  /// The program worker `node` runs as its `index`-th transaction —
-  /// exposed so the crash harness can re-derive the workload.
-  DistProgram MakeProgram(int node, int index) const;
-
   int num_nodes() const { return options_.num_nodes; }
   const ShardMap& shard_map() const { return map_; }
   SimTransport& transport() { return *transport_; }
@@ -107,6 +103,8 @@ class DistWorld {
   std::uint64_t aborted_attempts() const { return aborted_attempts_.load(); }
 
  private:
+  /// The program worker `node` runs as its `index`-th transaction.
+  TxnProgram MakeProgram(int node, int index) const;
   void WorkerBody(int node);
 
   DistWorldOptions options_;

@@ -50,17 +50,15 @@ ShardServer::ShardServer(ShardServerOptions options)
                                            options_.node_id);
   }
   db_ = workload_.MakeDatabase();
-  if (options_.with_wal) {
-    storage_ = std::make_unique<SimWalStorage>();
-    Result<std::unique_ptr<WalManager>> wal = WalManager::Open(
-        storage_.get(), db_->num_segments(), options_.wal);
-    if (!wal.ok()) {
-      init_error_ = wal.status().ToString();
-      return;
-    }
-    wal_ = std::move(*wal);
-    db_->AttachWal(wal_.get());
+  storage_ = std::make_unique<SimWalStorage>();
+  Result<std::unique_ptr<WalManager>> wal =
+      WalManager::Open(storage_.get(), db_->num_segments(), WalOptions{});
+  if (!wal.ok()) {
+    init_error_ = wal.status().ToString();
+    return;
   }
+  wal_ = std::move(*wal);
+  db_->AttachWal(wal_.get());
   HddControllerOptions copts;
   // Disjoint id ranges per node, as in DistWorld: 2PC prepares carry the
   // coordinator in the id's top half, and merged histories need global
@@ -77,52 +75,16 @@ ShardServer::ShardServer(ShardServerOptions options)
                                      options_.node_id == 0 ? clock_.get()
                                                            : nullptr);
   session_ = std::make_unique<DistSession>(options_.node_id, &map_,
-                                           transport_.get(), cc_.get(),
-                                           options_.session);
+                                           transport_.get(), cc_.get());
 
   ServerOptions sopts;
   sopts.port = options_.front_port;
   sopts.num_io_threads = options_.front_io_threads;
   sopts.num_workers = options_.front_workers;
   sopts.num_classes = options_.depth;
-  sopts.max_retries = options_.max_retries;
+  sopts.max_retries = 50;
   sopts.admission.total_inflight_cap = options_.inflight_cap;
-  sopts.shard_execute =
-      [this](const SubmitRequest& submit) -> ServerOptions::ShardOutcome {
-    ServerOptions::ShardOutcome out;
-    for (const WireOp& op : submit.ops) {
-      // Validate against the shared schema BEFORE routing: a wild
-      // segment id would index the shard map out of bounds.
-      if (op.granule.segment < 0 || op.granule.segment >= options_.depth ||
-          op.granule.index >= options_.granules_per_segment) {
-        return out;
-      }
-    }
-    if (!submit.read_only &&
-        map_.home(submit.txn_class) != options_.node_id) {
-      // Mis-routed update: the Protocol B path is single-sited at the
-      // class's home. Fail loudly, never execute against a stand-in.
-      return out;
-    }
-    DistProgram program;
-    program.options.read_only = submit.read_only;
-    program.options.txn_class =
-        submit.read_only ? kReadOnlyClass : submit.txn_class;
-    program.options.read_scope = submit.read_scope;
-    program.ops.reserve(submit.ops.size());
-    for (const WireOp& op : submit.ops) {
-      program.ops.push_back(DistOp{op.kind == WireOp::Kind::kWrite,
-                                   op.granule, op.value});
-    }
-    const DistTxnResult result =
-        session_->Run(program, options_.max_retries, /*sim=*/nullptr);
-    out.committed = result.committed;
-    out.aborted_attempts =
-        static_cast<std::uint32_t>(result.aborted_attempts);
-    out.values = result.values;
-    return out;
-  };
-  front_ = std::make_unique<HddServer>(cc_.get(), sopts, &metrics_);
+  front_ = std::make_unique<HddServer>(session_.get(), sopts, &metrics_);
 }
 
 ShardServer::~ShardServer() { (void)Stop(); }

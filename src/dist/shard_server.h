@@ -37,28 +37,22 @@ struct ShardServerOptions {
   /// 2PC scenario); must be identical on every process.
   std::vector<std::pair<SegmentId, int>> owner_overrides;
 
-  /// In-memory WAL per node: prepares and commits run the full logging +
-  /// group-commit path (the durability frontier 2PC acks ride on).
-  bool with_wal = true;
-  WalOptions wal;
-
   /// Net front end (client-facing). Port 0 = ephemeral.
   std::uint16_t front_port = 0;
   int front_io_threads = 1;
   int front_workers = 2;
   std::uint64_t inflight_cap = 1024;
-  int max_retries = 50;
-
-  DistOptions session;
 };
 
 /// One process of the sharded deployment (`hdd_server --shard`): a
 /// SocketTransport node serving the dist protocol to its peers, a full-
-/// schema HddController owning this shard's segments, a DistSession
-/// routing cross-shard reads and 2PC writes, and an HddServer front end
-/// whose workers execute admitted submits through the session
-/// (ServerOptions::shard_execute). Node 0 hosts the cluster's logical
-/// clock; every other node reaches it through RemoteClock.
+/// schema HddController owning this shard's segments over an in-memory
+/// group-commit WAL (prepares and commits run the full logging path), a
+/// DistSession routing cross-shard reads and 2PC writes, and an HddServer
+/// front end serving the session as its controller: the single node's
+/// served path, parked acks included (net/server.h), with a retry budget
+/// of 50 per request. Node 0 hosts the cluster's logical clock; every
+/// other node reaches it through RemoteClock.
 ///
 /// Client placement contract: update transactions must be submitted to
 /// the front end of their class's HOME node (the session's Protocol B

@@ -17,12 +17,13 @@
 #include "sim/sim_scheduler.h"
 
 // The execution-driver skeleton. Every driver in the repo — RunWorkload,
-// RunWorkloadEpochs, the network server's per-request RunProgram,
-// DistSession::Run and DistWorld — is a thin caller of these pieces, so
-// the paper's restart contract (a transaction that fails Protocol B's
-// test restarts with a fresh Begin and a new I(t); Protocol A and C reads
-// never abort) and the simulator's fault and task boundaries are written
-// once:
+// RunWorkloadEpochs, and RunProgram, which the network server runs per
+// request and DistWorld per program (a shard's controller is its
+// DistSession, so both deployments take this path) — is a thin caller of
+// these pieces, so the paper's restart contract (a transaction that
+// fails Protocol B's test restarts with a fresh Begin and a new I(t);
+// Protocol A and C reads never abort) and the simulator's fault and task
+// boundaries are written once:
 //  * RunTasks        the task launcher (plain threads, or sim tasks);
 //  * RunAttempt      the attempt boundary: body -> Commit -> Abort on
 //                    failure, plus the SimFault kAbort/kCrash split;

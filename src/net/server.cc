@@ -95,11 +95,9 @@ Status HddServer::Start() {
   for (int i = 0; i < options_.num_io_threads; ++i) {
     io_threads_.emplace_back([this] { IoThread(); });
   }
-  if (!options_.shard_execute) {
-    wal_ = cc_->db().wal();
-    if (wal_ != nullptr) {
-      completion_thread_ = std::thread([this] { CompletionThread(); });
-    }
+  wal_ = cc_->db().wal();
+  if (wal_ != nullptr) {
+    completion_thread_ = std::thread([this] { CompletionThread(); });
   }
   for (int i = 0; i < options_.num_workers; ++i) {
     worker_threads_.emplace_back([this] { WorkerThread(); });
@@ -519,13 +517,7 @@ void HddServer::WorkerThread() {
     ProgramResult result;
     std::vector<Value> values;
     std::uint64_t ticket = 0;
-    if (options_.shard_execute) {
-      ServerOptions::ShardOutcome out = options_.shard_execute(item.submit);
-      result.committed = out.committed;
-      result.failed = !out.committed;
-      result.aborted_attempts = out.aborted_attempts;
-      values = std::move(out.values);
-    } else {
+    {
       // A commit parks a nonzero ticket here only when a WAL is attached.
       DeferredCommitWait deferred;
       result = RunProgram(*cc_, ToTxnProgram(item.submit, &values),

@@ -64,26 +64,18 @@ struct ServerOptions {
   /// one-core host, timing-based backlogs are unwinnable races) and
   /// observe admission decisions against it.
   std::shared_ptr<std::atomic<bool>> test_pause_workers;
-
-  /// Terminal outcome of a shard-executed submit (see shard_execute).
-  struct ShardOutcome {
-    bool committed = false;
-    std::uint32_t aborted_attempts = 0;
-    std::vector<Value> values;  // reads of the committed attempt, in order
-  };
-  /// Sharded deployment hook (hdd_server --shard): when set, workers run
-  /// each admitted submit through this callback instead of the local
-  /// engine. The binding bridges to dist/DistSession — routing remote
-  /// Protocol A reads and two-phasing remotely-owned writes — while net/
-  /// stays independent of dist/.
-  std::function<ShardOutcome(const SubmitRequest&)> shard_execute;
 };
 
 /// The HDD network front end: a non-blocking epoll server speaking the
 /// length-prefixed CRC-framed protocol of net/frame.h + net/protocol.h
 /// behind per-class admission control. Each admitted request runs one
 /// way: a worker pops the wire request, compiles it with ToTxnProgram and
-/// drives it through RunProgram, the workload executor's core.
+/// drives it through RunProgram, the workload executor's core, against
+/// the one controller it serves. A single node serves its HddController;
+/// a shard of the sharded deployment serves its dist/DistSession, which
+/// routes cross-shard reads and two-phases remotely owned writes behind
+/// the same ConcurrencyController interface, so net/ stays independent
+/// of dist/.
 ///
 /// Durable serving parks the ack, not the worker. Each worker runs its
 /// program inside a DeferredCommitWait scope (wal/wal_manager.h). Over a
@@ -94,7 +86,9 @@ struct ServerOptions {
 /// group commit for the highest parked ticket and answers every parked
 /// request the synced frontier has passed; if the sync fails (the WAL's
 /// error is sticky) it answers them all as failed. A commit that is not
-/// durable is never acked. shard_execute keeps the blocking commit.
+/// durable is never acked. On a shard only plain local commits (and
+/// read-only ones) park: a 2PC commit waits for its sync in the
+/// controller before its decision leaves, so it draws no parked ticket.
 ///
 /// Metrics (all through the MetricsRegistry passed in):
 ///   counters   net_accepted, net_closed, net_frames,
@@ -116,8 +110,8 @@ class HddServer {
   HddServer(const HddServer&) = delete;
   HddServer& operator=(const HddServer&) = delete;
 
-  /// Binds, listens and spawns the IO + worker threads (and the
-  /// completion thread when responses are parked, see the class comment).
+  /// Binds, listens and spawns the IO + worker threads, and the
+  /// completion thread when `cc`'s database has a WAL attached.
   Status Start();
 
   /// Graceful shutdown: stop accepting, refuse new admissions, drain
@@ -143,7 +137,7 @@ class HddServer {
   using ConnPtr = std::shared_ptr<Connection>;
 
   /// One admitted request waiting for (or in) execution, in wire form:
-  /// the worker compiles it (the dist session routes its raw ops).
+  /// the worker compiles it.
   struct WorkItem {
     ConnPtr conn;
     ClassId cls = 0;  // admission class (kReadOnlyClass for read-only)
@@ -221,8 +215,8 @@ class HddServer {
   // Popped and not yet answered; parked responses count until answered.
   std::uint64_t executing_ = 0;
 
-  // Parked responses (see the class comment). wal_ is set by Start() only
-  // when workers park; the completion thread runs exactly then.
+  // Parked responses (see the class comment). Start() sets wal_ when the
+  // database has a WAL; the completion thread runs exactly then.
   WalManager* wal_ = nullptr;
   std::mutex park_mu_;
   std::condition_variable park_cv_;

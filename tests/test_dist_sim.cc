@@ -4,10 +4,12 @@
 // SimScheduler, and every completed history checked with the full 1SR +
 // bound-replay oracle over the MERGED multi-node history.
 //
-// Three sweeps:
+// Four sweeps:
 //  1. message faults (delay / reorder / duplicate) + transaction-level
 //     faults, oracle on the merged history — the distributed Protocol A
-//     acceptance sweep;
+//     acceptance sweep; a quarter as many seeds run it again with
+//     per-attempt crashes armed, which the driver aborts, participants
+//     included;
 //  2. whole-cluster process crashes: every node's simulated WAL storage
 //     loses a random unsynced suffix, every node recovers independently,
 //     prepared 2PC residue is resolved by consulting the COORDINATOR's
@@ -20,13 +22,15 @@
 //     mutation is broken.
 //
 // Environment knobs (also used by ci/check.sh):
-//   HDD_SIM_DIST_SEEDS        message-fault sweep seeds (default 500)
+//   HDD_SIM_DIST_SEEDS        message-fault sweep seeds (default 500; the
+//                             attempt-crash sweep runs a quarter of them)
 //   HDD_SIM_DIST_CRASH_SEEDS  cluster-crash sweep seeds (default 200)
 //   HDD_SIM_DIST_CANARY_SEEDS canary sweep seeds (default 150)
 //   HDD_SIM_FIRST_SEED        first seed of every sweep (default 1)
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
@@ -56,13 +60,11 @@ std::uint64_t EnvOr(const char* name, std::uint64_t fallback) {
 std::uint64_t FirstSeed() { return EnvOr("HDD_SIM_FIRST_SEED", 1); }
 
 // Transaction-level fault mix for the distributed sweeps. Per-attempt
-// kCrash is deliberately ZERO everywhere: a crashed DistSession driver
-// abandons its registered transaction and its prepared participants
-// without aborting them, so a later same-granule Protocol B access can
-// block forever on the uncommitted residue — a real blocked-2PC outcome,
-// but one that reads as a deadlock to the scheduler. Whole-process
-// crashes (sweep 2) cover the crash axis instead: there the entire
-// cluster halts and recovery resolves the residue from the logs.
+// kCrash stays zero here, so a seed keeps the schedule it has always had
+// and SimExplore.DISABLED_TraceDigest, which mirrors this mix, stays
+// comparable across builds; AttemptCrashesAbortTheirParticipants arms
+// it. Whole-process crashes (sweep 2) leave real in-doubt residue, which
+// recovery resolves from the logs.
 FaultInjectorConfig DistFaults() {
   FaultInjectorConfig faults;
   faults.abort_prob = 0.10;
@@ -87,8 +89,6 @@ DistWorldOptions BaseOptions() {
   options.own_reads = 1;
   options.own_writes = 2;
   options.upper_reads = 1;
-  options.with_wal = true;
-  options.wal.group.mode = WalSyncMode::kGroupCommit;
   return options;
 }
 
@@ -110,15 +110,42 @@ void ExpectSweepClean(const SeedSweepReport& report, const char* what) {
 
 // --- Sweep 1: message faults. ---------------------------------------------
 
-TEST(DistSim, MessageFaultSeedSweepPassesOracle) {
-  SimScheduler::Options base;
-  base.faults = DistFaults();
-
+struct MessageFaultCounters {
   std::atomic<std::uint64_t> committed{0};
-  const SimWorkloadFn fn = [&committed](SimScheduler& sched) -> std::string {
+  std::atomic<std::uint64_t> crashed{0};
+};
+
+// "" when no node holds an uncommitted version: once every transaction
+// has committed or aborted, a version left uncommitted is residue of an
+// attempt that was abandoned without its abort, at its home or at a 2PC
+// participant.
+std::string UncommittedResidue(DistWorld& world,
+                               const DistWorldOptions& options) {
+  for (int n = 0; n < world.num_nodes(); ++n) {
+    for (SegmentId s = 0; s < static_cast<SegmentId>(options.depth); ++s) {
+      for (std::uint32_t g = 0; g < options.granules_per_segment; ++g) {
+        const Granule& granule = world.database(n).granule({s, g});
+        for (const Version& v : granule.versions()) {
+          if (!v.committed) {
+            return "node " + std::to_string(n) +
+                   " holds an uncommitted version of (" + std::to_string(s) +
+                   ", " + std::to_string(g) + ") by txn " +
+                   std::to_string(v.creator);
+          }
+        }
+      }
+    }
+  }
+  return "";
+}
+
+// One run of the message-fault sweep: 2, 3 or 4 logical nodes, by seed,
+// so the same sweep covers every shard count the acceptance criteria
+// name; the merged history must pass the oracle, and no node may be left
+// holding an uncommitted version.
+SimWorkloadFn MessageFaultWorkload(MessageFaultCounters* counters) {
+  return [counters](SimScheduler& sched) -> std::string {
     DistWorldOptions options = BaseOptions();
-    // 2, 3 or 4 logical nodes, by seed: the same sweep covers every
-    // shard-count the acceptance criteria name.
     options.num_nodes = 2 + static_cast<int>(sched.seed() % 3);
     options.transport.delay_prob = 0.25;
     options.transport.reorder_prob = 0.25;
@@ -131,20 +158,61 @@ TEST(DistSim, MessageFaultSeedSweepPassesOracle) {
       return "";  // deadlock/budget findings are RunSimulation's to report
     }
     if (!run.empty()) return run;
-    committed.fetch_add(world.committed(), std::memory_order_relaxed);
-    return world.CheckHistory();
+    counters->committed.fetch_add(world.committed(),
+                                  std::memory_order_relaxed);
+    counters->crashed.fetch_add(world.crashed(), std::memory_order_relaxed);
+    const std::string verdict = world.CheckHistory();
+    if (!verdict.empty()) return verdict;
+    return UncommittedResidue(world, options);
   };
+}
 
+TEST(DistSim, MessageFaultSeedSweepPassesOracle) {
+  SimScheduler::Options base;
+  base.faults = DistFaults();
+
+  MessageFaultCounters counters;
   const std::uint64_t seeds = EnvOr("HDD_SIM_DIST_SEEDS", 500);
   const SeedSweepReport report =
-      RunSeedSweep(base, FirstSeed(), seeds, fn, "ctest -R test_dist_sim");
+      RunSeedSweep(base, FirstSeed(), seeds, MessageFaultWorkload(&counters),
+                   "ctest -R test_dist_sim");
   ExpectSweepClean(report, "dist-message-fault");
   EXPECT_EQ(report.runs, seeds);
   EXPECT_GT(report.faults_injected, 0u);
-  EXPECT_GT(committed.load(), 0u);
+  EXPECT_GT(counters.committed.load(), 0u);
   std::cout << "dist message-fault sweep: " << report.runs << " runs, "
-            << committed.load() << " committed txns, "
+            << counters.committed.load() << " committed txns, "
             << report.faults_injected << " faults injected" << std::endl;
+}
+
+// The same sweep with per-attempt crashes armed. A crash unwinds to the
+// driver's attempt boundary (RunAttempt in engine/driver.h), which aborts
+// the transaction through the session: its prepared participants first,
+// then the home node's transaction. So a crashed coordinator leaves no
+// uncommitted residue for a later Protocol B access to wait on, and the
+// merged history still passes the oracle. (A crash fires only at an
+// interruptible yield, and the last one before the commit decision is the
+// prepare call's send, so in this model no crash finds a participant
+// already prepared: the sweep exercises the home node's aborts, and the
+// residue check would flag a participant copy left uncommitted.)
+TEST(DistSim, AttemptCrashesAbortTheirParticipants) {
+  SimScheduler::Options base;
+  base.faults = DistFaults();
+  base.faults.crash_prob = 0.05;
+
+  MessageFaultCounters counters;
+  const std::uint64_t seeds =
+      std::max<std::uint64_t>(1, EnvOr("HDD_SIM_DIST_SEEDS", 500) / 4);
+  const SeedSweepReport report =
+      RunSeedSweep(base, FirstSeed(), seeds, MessageFaultWorkload(&counters),
+                   "ctest -R test_dist_sim");
+  ExpectSweepClean(report, "dist-attempt-crash");
+  EXPECT_EQ(report.runs, seeds);
+  EXPECT_GT(counters.crashed.load(), 0u);
+  EXPECT_GT(counters.committed.load(), 0u);
+  std::cout << "dist attempt-crash sweep: " << report.runs << " runs, "
+            << counters.committed.load() << " committed txns, "
+            << counters.crashed.load() << " crashed attempts" << std::endl;
 }
 
 // --- Sweep 2: whole-cluster crashes. --------------------------------------

@@ -339,8 +339,10 @@ TEST(DistSocket, InProcessPairLeaksNoFds) {
 // A read-only submit whose read_scope names a segment outside the schema
 // fails cleanly: the scope is validated before any shard-map lookup, so a
 // wild segment id can no longer index the map out of bounds and take the
-// node down. The node keeps serving and shuts down without leaking a
-// transport socket.
+// node down. So does an update that reads or writes a granule outside the
+// schema: the session validates it before any class or shard-map lookup.
+// The node keeps serving and shuts down without leaking a transport
+// socket.
 TEST(DistSocket, OutOfRangeReadScopeFailsAndNodeKeepsServing) {
   const std::uint16_t dist0 = PickFreePort();
   ASSERT_NE(dist0, 0);
@@ -364,6 +366,20 @@ TEST(DistSocket, OutOfRangeReadScopeFailsAndNodeKeepsServing) {
     ASSERT_TRUE(r.ok()) << r.status();
     ASSERT_EQ(r->type, NetMsgType::kResult);
     EXPECT_FALSE(r->committed) << "scope ending in " << scope.back();
+  }
+  // Segment -1, segment `depth` and an index at `granules_per_segment`,
+  // each read and written by a class-0 update.
+  for (const GranuleRef wild : {GranuleRef{-1, 0}, GranuleRef{4, 0},
+                                GranuleRef{0, 8}, GranuleRef{0, 1u << 30}}) {
+    for (const WireOp::Kind kind :
+         {WireOp::Kind::kRead, WireOp::Kind::kWrite}) {
+      Result<ResponseMsg> r = client.Call(Submit(id++, 0, {{kind, wild, 5}}));
+      ASSERT_TRUE(r.ok()) << r.status();
+      ASSERT_EQ(r->type, NetMsgType::kResult);
+      EXPECT_FALSE(r->committed)
+          << (kind == WireOp::Kind::kRead ? "read" : "write") << " of ("
+          << wild.segment << ", " << wild.index << ")";
+    }
   }
   Result<ResponseMsg> r =
       client.Call(Submit(id++, 0, {{WireOp::Kind::kWrite, {0, 0}, 5}}));

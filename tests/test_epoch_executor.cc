@@ -12,6 +12,14 @@
 //    served from the per-epoch shared cache equals an independent per-txn
 //    evaluation A_i^j(m_e) byte-for-byte, and the cache fills each
 //    (class, class) pair exactly once.
+//
+// Every test builds its HddController on the heap and binds `cc` to it.
+// libstdc++'s std::mutex has no destructor that ThreadSanitizer sees, so
+// a controller on the main thread's stack would leave its mutexes'
+// lock-order history at that address, and a later test's controller in
+// the same stack slot would inherit it: TSan then reports an inversion
+// whose cycle joins two tests' mutexes. Freeing heap memory resets TSan's
+// state for that memory.
 
 #include <gtest/gtest.h>
 
@@ -146,7 +154,9 @@ TEST(EpochExecutor, CommitsEverythingAcrossEpochsAndStaysSerializable) {
   ASSERT_TRUE(schema.ok()) << schema.status();
   auto db = workload.MakeDatabase();
   LogicalClock clock;
-  HddController cc(db.get(), &clock, &*schema);
+  const auto owned =
+      std::make_unique<HddController>(db.get(), &clock, &*schema);
+  HddController& cc = *owned;
 
   EpochExecutorOptions options;
   options.num_threads = 4;
@@ -191,7 +201,9 @@ TEST(EpochExecutor, SingleWorkerEpochWithReadOnlyTxnsTerminates) {
   ASSERT_TRUE(schema.ok()) << schema.status();
   auto db = workload.MakeDatabase();
   LogicalClock clock;
-  HddController cc(db.get(), &clock, &*schema);
+  const auto owned =
+      std::make_unique<HddController>(db.get(), &clock, &*schema);
+  HddController& cc = *owned;
 
   EpochExecutorOptions options;
   options.num_threads = 1;
@@ -216,7 +228,9 @@ TEST(EpochExecutor, RestructureIsBusyWhileAnEpochIsOpen) {
   ASSERT_TRUE(schema.ok()) << schema.status();
   auto db = workload.MakeDatabase();
   LogicalClock clock;
-  HddController cc(db.get(), &clock, &*schema);
+  const auto owned =
+      std::make_unique<HddController>(db.get(), &clock, &*schema);
+  HddController& cc = *owned;
 
   auto epoch = cc.BeginEpoch();
   ASSERT_TRUE(epoch.ok()) << epoch.status();
@@ -242,7 +256,8 @@ TEST(EpochExecutor, RetryableAbortIsReadmittedInALaterEpoch) {
   ASSERT_TRUE(schema.ok()) << schema.status();
   Database db(1, 4);
   LogicalClock clock;
-  HddController cc(&db, &clock, &*schema);
+  const auto owned = std::make_unique<HddController>(&db, &clock, &*schema);
+  HddController& cc = *owned;
 
   // Program 0 refuses to run until its third attempt; everything else
   // commits immediately. All programs conflict on granule 0 so the graph
@@ -291,7 +306,8 @@ TEST(EpochExecutor, RetryBudgetExhaustionFailsOnlyTheHopelessProgram) {
   ASSERT_TRUE(schema.ok()) << schema.status();
   Database db(1, 4);
   LogicalClock clock;
-  HddController cc(&db, &clock, &*schema);
+  const auto owned = std::make_unique<HddController>(&db, &clock, &*schema);
+  HddController& cc = *owned;
 
   std::vector<TxnProgram> programs;
   for (int k = 0; k < 4; ++k) {
@@ -352,7 +368,8 @@ TEST(EpochExecutor, MatchesSerialReferenceExecution) {
     auto schema = HierarchySchema::Create(FlatSpec());
     EXPECT_TRUE(schema.ok()) << schema.status();
     LogicalClock clock;
-    HddController cc(&db, &clock, &*schema);
+    const auto owned = std::make_unique<HddController>(&db, &clock, &*schema);
+    HddController& cc = *owned;
     EpochExecutorOptions options;
     options.num_threads = 3;
     options.epoch_size = 5;
@@ -367,7 +384,8 @@ TEST(EpochExecutor, MatchesSerialReferenceExecution) {
     auto schema = HierarchySchema::Create(FlatSpec());
     EXPECT_TRUE(schema.ok()) << schema.status();
     LogicalClock clock;
-    HddController cc(&db, &clock, &*schema);
+    const auto owned = std::make_unique<HddController>(&db, &clock, &*schema);
+    HddController& cc = *owned;
     Rng rng(1);
     for (std::uint64_t k = 0; k < kTxns; ++k) {
       TxnProgram p = workload.Make(k, rng);
@@ -448,7 +466,9 @@ TEST_P(EpochSharedBoundsTest, SharedBoundsEqualPerTxnEvaluation) {
     // the fact (idle-point trims would otherwise discard the records the
     // verification below replays).
     copts.auto_trim_history = false;
-    HddController cc(&db, &clock, &*schema, copts);
+    const auto owned =
+        std::make_unique<HddController>(&db, &clock, &*schema, copts);
+    HddController& cc = *owned;
 
     // Idle update transactions begun BEFORE the epoch: active at the
     // anchor, they drag I^old below m_e so the bounds under test are

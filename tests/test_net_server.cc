@@ -1,7 +1,9 @@
 // End-to-end tests of the network front end: admission policy, the epoll
 // server against real loopback sockets, backpressure, overload shedding
 // (Protocol C first), graceful shutdown, fd hygiene, and durable serving
-// (responses parked until the WAL's group commit syncs their commit).
+// (responses parked until the WAL's group commit syncs their commit), the
+// last both for a single node's HddController and for a shard's
+// DistSession, which the server serves down the same path.
 
 #include <dirent.h>
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "dist/dist_session.h"
+#include "dist/shard_map.h"
 #include "engine/harness.h"
 #include "engine/synthetic_workload.h"
 #include "held_sync_storage.h"
@@ -401,8 +405,12 @@ TEST_F(NetServerTest, LoadDriverRoundTripAndGracefulStop) {
   EXPECT_EQ(metrics_.GetGauge("net_connections").Value(), 0u);
 }
 
+// The controller a durable server serves: the HDD controller itself, as a
+// single node does, or a one-node DistSession over it, as a shard does.
+enum class Served { kNode, kShardSession };
+
 // A served HDD controller over a group-commit WAL on HeldSyncStorage.
-class DurableServerTest : public ::testing::Test {
+class DurableServerTest : public ::testing::TestWithParam<Served> {
  protected:
   static constexpr int kWorkers = 2;
   static constexpr int kRequests = 6;  // more than kWorkers
@@ -419,12 +427,18 @@ class DurableServerTest : public ::testing::Test {
     Result<HierarchySchema> schema = HierarchySchema::Create(workload.Spec());
     ASSERT_TRUE(schema.ok()) << schema.status();
     schema_.emplace(std::move(schema).value());
-    cc_ = CreateController(ControllerKind::kHdd, db_.get(), &clock_,
-                           &*schema_);
+    cc_ = std::make_unique<HddController>(db_.get(), &clock_, &*schema_);
+    ConcurrencyController* served = cc_.get();
+    if (GetParam() == Served::kShardSession) {
+      // One node homes every class and owns every segment, so the session
+      // never calls a peer and needs no transport.
+      session_ = std::make_unique<DistSession>(0, &map_, nullptr, cc_.get());
+      served = session_.get();
+    }
     ServerOptions options;
     options.num_workers = kWorkers;
     options.num_classes = params_.depth;
-    server_ = std::make_unique<HddServer>(cc_.get(), options, &metrics_);
+    server_ = std::make_unique<HddServer>(served, options, &metrics_);
     const Status started = server_->Start();
     ASSERT_TRUE(started.ok()) << started;
     ASSERT_TRUE(client_.Connect("127.0.0.1", server_->port()).ok());
@@ -445,10 +459,13 @@ class DurableServerTest : public ::testing::Test {
     return msg;
   }
 
-  static RequestMsg ReadOnly(std::uint64_t id, std::uint32_t g) {
+  // A shard's read-only transaction declares its scope; a single node's
+  // reads under a time wall (Protocol C).
+  RequestMsg ReadOnly(std::uint64_t id, std::uint32_t g) const {
     RequestMsg msg;
     msg.submit.request_id = id;
     msg.submit.read_only = true;
+    if (GetParam() == Served::kShardSession) msg.submit.read_scope = {0};
     msg.submit.ops = {{WireOp::Kind::kRead, {0, g}, 0}};
     return msg;
   }
@@ -512,13 +529,15 @@ class DurableServerTest : public ::testing::Test {
   std::unique_ptr<WalManager> wal_;
   LogicalClock clock_;
   std::optional<HierarchySchema> schema_;
-  std::unique_ptr<ConcurrencyController> cc_;
+  std::unique_ptr<HddController> cc_;
+  ShardMap map_ = ShardMap::Contiguous(params_.depth, 1);
+  std::unique_ptr<DistSession> session_;
   MetricsRegistry metrics_;
   std::unique_ptr<HddServer> server_;
   SyncClient client_;
 };
 
-TEST_F(DurableServerTest, UpdatesInstallButAreAnsweredOnlyAfterTheSync) {
+TEST_P(DurableServerTest, UpdatesInstallButAreAnsweredOnlyAfterTheSync) {
   StartServer();
   // Every update installed although the workers are fewer: none of them
   // waits out the sync.
@@ -542,7 +561,7 @@ TEST_F(DurableServerTest, UpdatesInstallButAreAnsweredOnlyAfterTheSync) {
   server_->Stop();
 }
 
-TEST_F(DurableServerTest, ReadOnlyRequestsParkTheSameWay) {
+TEST_P(DurableServerTest, ReadOnlyRequestsParkTheSameWay) {
   StartServer();
   const Result<ResponseMsg> written = client_.Call(Update(1, 7, 77));
   ASSERT_TRUE(written.ok()) << written.status();
@@ -565,7 +584,7 @@ TEST_F(DurableServerTest, ReadOnlyRequestsParkTheSameWay) {
   server_->Stop();
 }
 
-TEST_F(DurableServerTest, StopDeliversEveryParkedResponse) {
+TEST_P(DurableServerTest, StopDeliversEveryParkedResponse) {
   StartServer();
   EXPECT_FALSE(AnsweredWithTheSyncHeld(200));
   // Stop() drains parked responses too, so it waits for the sync.
@@ -581,7 +600,7 @@ TEST_F(DurableServerTest, StopDeliversEveryParkedResponse) {
   EXPECT_EQ(acked, CounterValue("net_committed"));
 }
 
-TEST_F(DurableServerTest, FailedSyncAnswersEveryParkedRequestAsFailed) {
+TEST_P(DurableServerTest, FailedSyncAnswersEveryParkedRequestAsFailed) {
   StartServer();
   EXPECT_FALSE(AnsweredWithTheSyncHeld(200));
   storage_.FailNextSyncs(1);
@@ -604,7 +623,7 @@ TEST_F(DurableServerTest, FailedSyncAnswersEveryParkedRequestAsFailed) {
 
 // Canary: a WAL that acks without syncing (the lost-ack mutation) must
 // trip the check the tests above rely on.
-TEST_F(DurableServerTest, SkippedSyncCanaryIsCaught) {
+TEST_P(DurableServerTest, SkippedSyncCanaryIsCaught) {
   WalOptions mutated;
   mutated.mutation_skip_commit_sync = true;
   StartServer(mutated);
@@ -613,6 +632,13 @@ TEST_F(DurableServerTest, SkippedSyncCanaryIsCaught) {
   Receive(kRequests);
   server_->Stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Controllers, DurableServerTest,
+    ::testing::Values(Served::kNode, Served::kShardSession),
+    [](const ::testing::TestParamInfo<Served>& info) {
+      return info.param == Served::kNode ? "Node" : "ShardSession";
+    });
 
 }  // namespace
 }  // namespace hdd

@@ -1081,10 +1081,6 @@ TEST(SimExplore, DeterministicReplay) {
   ropts.window_txns = 6;
   ropts.drift_threshold = 0.3;
   RedecompCounters counters;
-  // Per-attempt crashes stay off for the cluster: a crashed coordinator
-  // leaves prepared residue that reads as a deadlock (see test_dist_sim).
-  FaultInjectorConfig dist_faults = SweepFaults();
-  dist_faults.crash_prob = 0.0;
   const struct {
     const char* label;
     FaultInjectorConfig faults;
@@ -1093,7 +1089,7 @@ TEST(SimExplore, DeterministicReplay) {
       {"per-txn", SweepFaults(), HddWorkload(HddShape())},
       {"epoch", SweepFaults(), HddEpochWorkload(HddShape(), /*epoch_size=*/4)},
       {"service", SweepFaults(), RedecompDriftRun(14, ropts, &counters)},
-      {"dist", dist_faults, DistReplayRun()},
+      {"dist", SweepFaults(), DistReplayRun()},
   };
   for (const auto& run : runs) {
     SCOPED_TRACE(run.label);
@@ -1341,8 +1337,6 @@ DistWorldOptions DistDigestOptions(const SimScheduler& sched) {
   options.own_reads = 1;
   options.own_writes = 2;
   options.upper_reads = 1;
-  options.with_wal = true;
-  options.wal.group.mode = WalSyncMode::kGroupCommit;
   options.transport.seed = sched.seed() * 0x9E3779B97F4A7C15ULL + 0xD1D5;
   options.workload_seed = sched.seed() * 31 + 7;
   return options;
