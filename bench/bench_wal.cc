@@ -3,7 +3,7 @@
 // fsync disabled (kNone — the pure record-marshalling overhead), with
 // leader/follower group commit (kGroupCommit — the intended production
 // mode), and with one fsync per commit (kPerCommit — the naive
-// baseline group commit amortizes away).
+// baseline whose fsyncs group commit shares among overlapping commits).
 //
 // Logs go through FileWalStorage into a scratch directory that is
 // removed afterwards, so absolute numbers track the host filesystem's
@@ -195,10 +195,9 @@ void Run(int argc, char** argv) {
   report.AddRow("calibration")
       .Metric("spins_per_sec",
               std::min(cal_before, CalibrationSpinsPerSec()));
-  std::cout << "\nExpected shape: no-wal ~= fsync-off (marshalling is "
-               "cheap) >> per-commit; group-commit recovers most of the "
-               "gap once threads>1 because followers ride the leader's "
-               "fsync (mean batch > 1).\n\n"
+  std::cout << "\nMean batch is commits per leader round: 1 at t1 by "
+               "construction. Measured rows and their reading: "
+               "EXPERIMENTS.md, \"WAL group commit\".\n\n"
             << json;
 
   if (const auto path = ReportPathFromArgs(argc, argv)) {

@@ -560,8 +560,8 @@ void HddServer::CompletionThread() {
       if (parked_.empty()) return;
       for (const ParkedAck& p : parked_) target = std::max(target, p.ticket);
     }
-    // The group commit's pile-in pause and byte threshold still set the
-    // batching: this thread is one more waiter in the same gate.
+    // The group commit sets the batching, pause rule included: this
+    // thread is one more waiter in the same gate.
     const Status synced = wal_->AwaitParked(target);
     const std::uint64_t stable = wal_->StableTicket();
     {

@@ -6,6 +6,13 @@
 #include "obs/trace.h"
 
 namespace hdd {
+namespace {
+
+/// The leader's pile-in pause, and the unsynced bytes that cut it short.
+constexpr std::chrono::microseconds kPileInPause{100};
+constexpr std::uint64_t kFlushBytes = 64 * 1024;
+
+}  // namespace
 
 Status GroupCommit::AwaitDurable(
     std::uint64_t ticket, const std::function<Result<SyncBatch>()>& sync_all,
@@ -42,20 +49,26 @@ Status GroupCommit::AwaitDurable(
     if (stable_ >= ticket) return Status::OK();
     if (!leader_active_) {
       leader_active_ = true;
+      // Under simulation the pause is one deterministic reschedule, taken
+      // every round; a simulated leader stores no timing, so no trace
+      // depends on real time.
+      const bool simulated = ThreadSimHook() != nullptr;
+      const bool pause_pays = simulated || last_sync_ >= kPileInPause;
       lock.unlock();
-      // Let followers pile in before paying the fsync — unless enough
-      // bytes already wait. Under simulation this is one deterministic
-      // reschedule; in real time it is the configured flush interval.
-      if (params_.flush_interval.count() > 0 &&
-          pending_bytes() < params_.flush_bytes) {
-        SimSleep(params_.flush_interval);
-      }
+      // Let followers pile in before paying the sync, unless the last one
+      // cost less than the pause or enough bytes already wait.
+      const bool pause = pause_pays && pending_bytes() < kFlushBytes;
+      if (pause) SimSleep(kPileInPause);
+      const auto start = std::chrono::steady_clock::now();
       Result<SyncBatch> batch = [&] {
         HDD_TRACE_SPAN("wal", "group_commit_flush");
         return sync_all();
       }();
+      const auto took = std::chrono::steady_clock::now() - start;
       lock.lock();
       leader_active_ = false;
+      if (!simulated) last_sync_ = took;
+      if (pause) metrics_->group_commit_pauses.Add(1);
       if (!batch.ok()) {
         error_ = batch.status();
         SimNotifyAll(cv_, this);

@@ -17,10 +17,11 @@ enum class WalSyncMode {
   /// Never fsync (bench baseline / tests): commits ack immediately and a
   /// crash may lose them. No durability claim.
   kNone,
-  /// Group commit: the first waiting commit becomes the LEADER, briefly
-  /// waits for followers to pile in (flush interval / byte threshold),
-  /// fsyncs every dirty log once, and publishes the covered ticket; the
-  /// followers ride its single fsync.
+  /// Group commit: the first waiting commit becomes the LEADER, fsyncs
+  /// every dirty log once, and publishes the covered ticket; the
+  /// followers ride its single fsync. Before the fsync the leader pauses
+  /// for followers to pile in, but only while a sync costs at least the
+  /// pause (see GroupCommit).
   kGroupCommit,
   /// One fsync per commit (the classical, slow, baseline).
   kPerCommit,
@@ -37,19 +38,23 @@ struct SyncBatch {
 /// The group-commit gate. Deliberately NOT a daemon thread: a background
 /// flusher would be invisible to the deterministic scheduler, so the
 /// leader role instead rotates among the committing transactions
-/// themselves (leader/follower group commit), and the flush-interval wait
-/// is a SimSleep — one more deterministic reschedule under simulation.
+/// themselves (leader/follower group commit).
+///
+/// A leader pauses 100 µs before its sync so followers can pile in, unless
+/// 64 KiB of unsynced bytes already wait. The pause pays only when the
+/// sync it amortizes costs more, so a leader also skips it while the last
+/// sync a leader timed took less than the pause: an in-memory log, or a
+/// lone committer's single fdatasync, then syncs at once. Under
+/// simulation the pause is a SimSleep — one more deterministic
+/// reschedule — taken every round, and nothing is timed.
 /// The served per-txn path's completion thread (net/server.h) lives
 /// outside the sim and is one more waiter here, not a second sync driver:
 /// it waits for its parked commits' highest ticket through this same
-/// leader/follower gate, pile-in pause and byte threshold included.
+/// leader/follower gate and pause rule.
 class GroupCommit {
  public:
   struct Params {
     WalSyncMode mode = WalSyncMode::kGroupCommit;
-    /// Leader skips its pile-in pause once this many unsynced bytes wait.
-    std::uint64_t flush_bytes = 64 * 1024;
-    std::chrono::microseconds flush_interval{100};
   };
 
   GroupCommit(Params params, WalMetrics* metrics)
@@ -80,6 +85,10 @@ class GroupCommit {
   std::uint64_t stable_ = 0;
   bool leader_active_ = false;
   Status error_ = Status::OK();  // sticky first storage failure
+  /// How long the last sync a leader timed took. Until one is timed it
+  /// reads as longer than the pause, so the first round pauses.
+  std::chrono::steady_clock::duration last_sync_ =
+      std::chrono::steady_clock::duration::max();
 
   /// Serializes kPerCommit syncs.
   std::mutex per_commit_mu_;

@@ -144,7 +144,7 @@ class WalManager {
   bool DeferWait(std::uint64_t ticket);
 
   /// The wait of whoever answers parked commits: blocks like WaitDurable,
-  /// in the same group commit with the same pile-in pause, but counts no
+  /// in the same group commit under the same pause rule, but counts no
   /// commit wait, since each parked commit counted its own in DeferWait.
   Status AwaitParked(std::uint64_t ticket);
 
