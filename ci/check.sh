@@ -24,8 +24,11 @@
 #      bench_dist rides in the bench stage, gated against BENCH_8.json.
 #   3c. Perfbench stage: builds the served benchmark (perfbench/ is its
 #      own CMake package over src/, so no other stage compiles it) and
-#      smoke-runs each of its three workloads for 2 s; served_bench exits
-#      non-zero on a build failure or a failed correctness check.
+#      smoke-runs each of its three workloads for 2 s, then
+#      served_durable_hot once more traced, so the WAL's sync helpers run
+#      through perfbench's timing decorator (TimedWalStorage) on every
+#      pass; served_bench exits non-zero on a build failure or a failed
+#      correctness check.
 #   4. AddressSanitizer+UBSan build + tests, with a reduced sim corpus.
 #   5. ThreadSanitizer build + tests. The concurrency suite (stress, fuzz,
 #      concurrent oracle, sim) must be race-free; the sim sweep runs with
@@ -176,6 +179,10 @@ if want perfbench; then
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
       --trace 0
   done
+  # Traced: costly group-commit rounds fan their fdatasyncs out to helper
+  # threads, which then sync through the decorator.
+  python3 perfbench/run.py --workload served_durable_hot --seed 1 \
+    --seconds 2 --trace 1
 fi
 
 if want asan && [[ "${HDD_SKIP_ASAN:-0}" != 1 ]]; then

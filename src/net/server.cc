@@ -560,8 +560,10 @@ void HddServer::CompletionThread() {
       if (parked_.empty()) return;
       for (const ParkedAck& p : parked_) target = std::max(target, p.ticket);
     }
-    // The group commit sets the batching, pause rule included: this
-    // thread is one more waiter in the same gate.
+    // The group commit sets the batching, pause and fan-out rule
+    // included: this thread is one more waiter in the same gate. On a
+    // single node it is the only one, so it pauses in no round but the
+    // first.
     const Status synced = wal_->AwaitParked(target);
     const std::uint64_t stable = wal_->StableTicket();
     {

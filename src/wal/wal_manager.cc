@@ -112,7 +112,16 @@ Result<std::uint64_t> WalManager::LogReadBound(Timestamp now) {
   return AppendRecord(/*segment=*/0, record);
 }
 
-Result<SyncBatch> WalManager::SyncAll() {
+WalManager::~WalManager() {
+  {
+    std::lock_guard<std::mutex> lock(helpers_.mu);
+    helpers_.stop = true;
+  }
+  helpers_.work.notify_all();
+  for (std::thread& thread : helpers_.threads) thread.join();
+}
+
+Result<SyncBatch> WalManager::SyncAll(bool fan_out) {
   SyncBatch batch;
   // Capture BEFORE syncing: a record ticketed at or below the capture was
   // inside its log's append critical section when the capture happened,
@@ -122,12 +131,70 @@ Result<SyncBatch> WalManager::SyncAll() {
   // synced — which only makes the published point tighter than claimed.
   batch.stable_ticket = append_ticket_.load(std::memory_order_acquire);
   batch.commits_covered = pending_commits_.exchange(0);
+  if (fan_out) {
+    HDD_RETURN_IF_ERROR(SyncFannedOut());
+    return batch;
+  }
   for (SegmentLog& log : logs_) {
     if (log.unsynced_bytes() == 0) continue;  // clean logs cost no fsync
-    HDD_RETURN_IF_ERROR(log.Sync());
-    metrics_.fsyncs.Add(1);
+    HDD_RETURN_IF_ERROR(SyncLog(log));
   }
   return batch;
+}
+
+Status WalManager::SyncLog(SegmentLog& log) {
+  HDD_RETURN_IF_ERROR(log.Sync());
+  metrics_.fsyncs.Add(1);
+  return Status::OK();
+}
+
+Status WalManager::SyncFannedOut() {
+  std::unique_lock<std::mutex> lock(helpers_.mu);
+  helpers_.logs.clear();
+  for (SegmentLog& log : logs_) {
+    if (log.unsynced_bytes() > 0) helpers_.logs.push_back(&log);
+  }
+  helpers_.next = 0;
+  helpers_.error = Status::OK();
+  // The leader syncs one log itself; each other dirty log may go to a
+  // helper, started the first time a round has that many. Every helper is
+  // woken, so the first ones awake take the logs.
+  const std::size_t wanted =
+      helpers_.logs.empty() ? 0 : helpers_.logs.size() - 1;
+  while (helpers_.threads.size() < wanted) {
+    helpers_.threads.emplace_back([this] { HelperLoop(); });
+  }
+  if (wanted > 0) helpers_.work.notify_all();
+  // The leader claims logs too, so the round never waits for a helper to
+  // wake; it ends once every claimed sync has returned.
+  ClaimSyncs(lock);
+  helpers_.done.wait(lock, [this] { return helpers_.busy == 0; });
+  return helpers_.error;
+}
+
+void WalManager::ClaimSyncs(std::unique_lock<std::mutex>& lock) {
+  while (helpers_.next < helpers_.logs.size() && helpers_.error.ok()) {
+    SegmentLog* log = helpers_.logs[helpers_.next++];
+    ++helpers_.busy;
+    lock.unlock();
+    Status status = SyncLog(*log);
+    lock.lock();
+    --helpers_.busy;
+    if (helpers_.error.ok()) helpers_.error = std::move(status);
+  }
+  if (helpers_.busy == 0) helpers_.done.notify_one();
+}
+
+void WalManager::HelperLoop() {
+  std::unique_lock<std::mutex> lock(helpers_.mu);
+  for (;;) {
+    helpers_.work.wait(lock, [this] {
+      return helpers_.stop || (helpers_.next < helpers_.logs.size() &&
+                               helpers_.error.ok());
+    });
+    if (helpers_.stop) return;
+    ClaimSyncs(lock);
+  }
 }
 
 std::uint64_t WalManager::PendingBytes() const {
@@ -157,7 +224,8 @@ bool WalManager::DeferWait(std::uint64_t ticket) {
 Status WalManager::AwaitParked(std::uint64_t ticket) {
   if (!SyncsBeforeAck()) return Status::OK();
   return gate_.AwaitDurable(
-      ticket, [this] { return SyncAll(); }, [this] { return PendingBytes(); });
+      ticket, [this](bool fan_out) { return SyncAll(fan_out); },
+      [this] { return PendingBytes(); });
 }
 
 std::uint64_t WalManager::StableTicket() const {

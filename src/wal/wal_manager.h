@@ -2,9 +2,12 @@
 #define HDD_WAL_WAL_MANAGER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -82,6 +85,28 @@ class DeferredCommitWait {
 /// give that: T's cross-segment Protocol A reads would race the other
 /// segment's fsync.
 ///
+/// The argument is per log, so it holds however the per-log fsyncs are
+/// ordered or overlapped. A record ticketed at or below the capture is in
+/// (or past) its log's append critical section at the capture; that log's
+/// fsync starts after the capture and reads its target under the log's
+/// lock, so it covers the record whichever thread runs it and whatever
+/// other log syncs beside it. The batch is published only after every
+/// per-log fsync of the round has returned.
+///
+/// ## Fanned-out rounds
+///
+/// A costly round (group_commit.h) overlaps its fsyncs: the leader and
+/// helper threads claim the dirty logs one at a time from a shared index,
+/// so the round costs about one fdatasync instead of one per dirty log.
+/// A round with n dirty logs starts helpers until there are n − 1, so at
+/// most num_segments − 1; none start during Open, the destructor joins
+/// them, and they run only syncs a leader hands them. The leader claims
+/// logs too,
+/// so a round never waits for a helper to wake. The round fails with its
+/// first error (later logs go unclaimed, as in a serial round), and the
+/// group commit keeps that failure sticky. Cheap rounds, every simulated
+/// round and kPerCommit stay serial on the leader's thread.
+///
 /// The on-disk tickets are what recovery's *frontier* is computed from:
 /// only records whose ticket has no missing predecessor anywhere are
 /// honored, so a record that survives a crash by luck while something it
@@ -100,6 +125,9 @@ class WalManager {
   static Result<std::unique_ptr<WalManager>> Open(WalStorage* storage,
                                                   int num_segments,
                                                   WalOptions options = {});
+
+  /// Joins the sync helpers. Call with no wait in progress.
+  ~WalManager();
 
   WalManager(const WalManager&) = delete;
   WalManager& operator=(const WalManager&) = delete;
@@ -129,7 +157,9 @@ class WalManager {
 
   /// Clock marker for read-only commits (see WalRecordType::kReadBound):
   /// records `now` so recovery never rewinds the clock below an acked
-  /// reader's bound. Lands in segment 0's log; call before AwaitReadStable.
+  /// reader's bound. Lands in segment 0's log; the reader's ack then waits
+  /// for the returned ticket (WaitDurable, or DeferWait on the served
+  /// path).
   Result<std::uint64_t> LogReadBound(Timestamp now);
 
   /// Commit-wait: blocks (leader/follower group commit) until `ticket` is
@@ -144,8 +174,9 @@ class WalManager {
   bool DeferWait(std::uint64_t ticket);
 
   /// The wait of whoever answers parked commits: blocks like WaitDurable,
-  /// in the same group commit under the same pause rule, but counts no
-  /// commit wait, since each parked commit counted its own in DeferWait.
+  /// in the same group commit under the same pause and fan-out rule, but
+  /// counts no commit wait, since each parked commit counted its own in
+  /// DeferWait.
   Status AwaitParked(std::uint64_t ticket);
 
   /// Highest ticket an ack may pass: the group commit's synced frontier.
@@ -182,7 +213,16 @@ class WalManager {
                                      const WalRecord& record);
   /// False under kNone and the canary mutation: commits ack unsynced.
   bool SyncsBeforeAck() const;
-  Result<SyncBatch> SyncAll();
+  /// One group-commit round's sync; `fan_out` overlaps the per-log
+  /// fsyncs (see "Fanned-out rounds").
+  Result<SyncBatch> SyncAll(bool fan_out);
+  Status SyncLog(SegmentLog& log);
+  /// The leader's side of a fanned-out round.
+  Status SyncFannedOut();
+  /// Claims and syncs the round's logs until none is left or one failed;
+  /// `lock` holds helpers_.mu.
+  void ClaimSyncs(std::unique_lock<std::mutex>& lock);
+  void HelperLoop();
   std::uint64_t PendingBytes() const;
 
   WalStorage* storage_;
@@ -192,6 +232,20 @@ class WalManager {
   std::atomic<std::uint64_t> append_ticket_{0};
   std::atomic<std::uint64_t> pending_commits_{0};
   GroupCommit gate_;
+
+  /// The sync helpers and the fanned-out round they share.
+  struct Helpers {
+    std::mutex mu;
+    std::condition_variable work;   // a round has unclaimed logs, or stop
+    std::condition_variable done;   // every claimed sync has returned
+    std::vector<SegmentLog*> logs;  // the round's dirty logs
+    std::size_t next = 0;           // first unclaimed entry of `logs`
+    std::size_t busy = 0;           // claimed syncs still running
+    Status error = Status::OK();    // the round's first failure
+    bool stop = false;
+    std::vector<std::thread> threads;
+  };
+  Helpers helpers_;
 };
 
 }  // namespace hdd

@@ -104,6 +104,7 @@ FileWalStorage::~FileWalStorage() {
 }
 
 Result<int> FileWalStorage::Fd(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = fds_.find(name);
   if (it != fds_.end()) return it->second;
   const std::string path = dir_ + "/" + name;
@@ -116,7 +117,6 @@ Result<int> FileWalStorage::Fd(const std::string& name) {
 }
 
 Result<std::string> FileWalStorage::Read(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   HDD_ASSIGN_OR_RETURN(const int fd, Fd(name));
   std::string out;
   char buf[1 << 16];
@@ -135,7 +135,6 @@ Result<std::string> FileWalStorage::Read(const std::string& name) {
 }
 
 Result<std::uint64_t> FileWalStorage::Size(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   HDD_ASSIGN_OR_RETURN(const int fd, Fd(name));
   struct stat st;
   if (::fstat(fd, &st) != 0) {
@@ -145,7 +144,6 @@ Result<std::uint64_t> FileWalStorage::Size(const std::string& name) {
 }
 
 Status FileWalStorage::Append(const std::string& name, std::string_view data) {
-  std::lock_guard<std::mutex> lock(mu_);
   HDD_ASSIGN_OR_RETURN(const int fd, Fd(name));
   std::size_t written = 0;
   while (written < data.size()) {
@@ -161,7 +159,6 @@ Status FileWalStorage::Append(const std::string& name, std::string_view data) {
 }
 
 Status FileWalStorage::Sync(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   HDD_ASSIGN_OR_RETURN(const int fd, Fd(name));
   if (::fdatasync(fd) != 0) {
     return Status::IoError("fdatasync " + name + ": " + std::strerror(errno));
@@ -170,7 +167,6 @@ Status FileWalStorage::Sync(const std::string& name) {
 }
 
 Status FileWalStorage::Truncate(const std::string& name, std::uint64_t size) {
-  std::lock_guard<std::mutex> lock(mu_);
   HDD_ASSIGN_OR_RETURN(const int fd, Fd(name));
   if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
     return Status::IoError("ftruncate " + name + ": " + std::strerror(errno));

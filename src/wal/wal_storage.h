@@ -89,6 +89,12 @@ class SimWalStorage : public WalStorage {
 /// POSIX-file WalStorage rooted at a directory (created on demand). Sync
 /// is fdatasync; a kill -9 leaves whatever the OS flushed, which is the
 /// crash model the on-disk smoke test exercises.
+///
+/// Calls on different files run concurrently: the mutex guards only the
+/// name-to-descriptor map, and descriptors stay open until the
+/// destructor, so the write, fdatasync, pread, fstat or ftruncate itself
+/// runs unlocked. Appends to ONE file must not overlap (each SegmentLog
+/// serializes its own under its append latch).
 class FileWalStorage : public WalStorage {
  public:
   explicit FileWalStorage(std::string dir);
@@ -109,8 +115,8 @@ class FileWalStorage : public WalStorage {
   Result<int> Fd(const std::string& name);
 
   std::string dir_;
-  std::mutex mu_;
-  std::map<std::string, int> fds_;
+  std::mutex mu_;                   // guards fds_, nothing else
+  std::map<std::string, int> fds_;  // closed only by the destructor
 };
 
 }  // namespace hdd
