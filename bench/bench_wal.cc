@@ -7,10 +7,9 @@
 //
 // Logs go through FileWalStorage into a scratch directory that is
 // removed afterwards, so absolute numbers track the host filesystem's
-// fsync latency; the interesting signal is the ratio between modes, the
-// group-commit batch sizes, and the leader rounds that paused for
-// followers to pile in. One machine-readable JSON row per configuration
-// follows the table.
+// fsync latency; the interesting signal is the ratio between modes and
+// the group-commit batch sizes. One machine-readable JSON row per
+// configuration follows the table.
 
 #include <cstdlib>
 #include <filesystem>
@@ -135,8 +134,7 @@ void Run(int argc, char** argv) {
             << std::left << std::setw(14) << "mode" << std::right
             << std::setw(9) << "threads" << std::setw(12) << "txn/s"
             << std::setw(10) << "fsyncs" << std::setw(12) << "log MiB"
-            << std::setw(12) << "mean batch" << std::setw(9) << "paused"
-            << "\n";
+            << std::setw(12) << "mean batch" << "\n";
 
   RunReport report("wal");
   const double cal_before = CalibrationSpinsPerSec();
@@ -155,7 +153,6 @@ void Run(int argc, char** argv) {
       const std::uint64_t fsyncs = Get(r.stats, "fsyncs");
       const std::uint64_t bytes = Get(r.stats, "bytes_appended");
       const std::uint64_t batches = Get(r.stats, "group_commit_batches");
-      const std::uint64_t pauses = Get(r.stats, "group_commit_pauses");
       const std::uint64_t waits = Get(r.stats, "commit_waits");
       const double mean_batch =
           batches > 0 ? static_cast<double>(waits) / batches : 0.0;
@@ -165,7 +162,7 @@ void Run(int argc, char** argv) {
                 << std::setw(10) << fsyncs << std::setw(12)
                 << std::setprecision(2) << bytes / (1024.0 * 1024.0)
                 << std::setw(12) << std::setprecision(2) << mean_batch
-                << std::setw(9) << pauses << "\n";
+                << "\n";
       std::ostringstream row;
       row << "{\"bench\":\"wal\",\"mode\":\"" << mode.name
           << "\",\"threads\":" << threads << ",\"txns\":" << kTxnsPerRun
@@ -175,7 +172,6 @@ void Run(int argc, char** argv) {
           << ",\"log_bytes\":" << bytes << ",\"records\":"
           << Get(r.stats, "records_appended")
           << ",\"group_commit_batches\":" << batches
-          << ",\"group_commit_pauses\":" << pauses
           << ",\"mean_batch\":" << std::setprecision(2) << mean_batch << "}\n";
       json += row.str();
       RunReport::Row& report_row =
@@ -200,8 +196,7 @@ void Run(int argc, char** argv) {
       .Metric("spins_per_sec",
               std::min(cal_before, CalibrationSpinsPerSec()));
   std::cout << "\nMean batch is commits per leader round: 1 at t1 by "
-               "construction. Paused is leader rounds that paused for "
-               "followers to pile in. Measured rows and their reading: "
+               "construction. Measured rows and their reading: "
                "EXPERIMENTS.md, \"WAL group commit\".\n\n"
             << json;
 

@@ -155,12 +155,13 @@ fi
 
 if want crash; then
   echo "=== Crash-recovery stage ($CRASH_SEEDS crash seeds) ==="
-  # WAL unit tier plus the on-disk kill -9 smoke tests
+  # WAL unit tier, sync path included (the group-commit gate and the
+  # overlapped rounds), plus the on-disk kill -9 smoke tests
   # (tests/test_wal_crash_process.cc: forked child, SIGKILL, real files;
   # tests/test_served_crash_process.cc: the same, of a served process
   # under pipelined load).
   (cd build && ctest --output-on-failure -j "$JOBS" \
-    -R 'test_wal_(format|recovery|crash_process)|test_served_crash_process')
+    -R 'test_wal_(format|recovery|sync|crash_process)|test_group_commit|test_served_crash_process')
   # Process-crash sweep: seeded schedules killed at arbitrary yield
   # points; every crash must recover exactly the committed prefix and the
   # combined pre/post-crash history must stay 1SR, and the lost-ack

@@ -2,9 +2,10 @@
 """Bench-report regression gate.
 
 Consumes the run reports emitted by the ``--report=`` flag of
-bench_scaling / bench_wal / bench_obs_overhead (schema_version 1, see
-src/obs/report.h) and diffs them against the committed baseline
-(BENCH_6.json at the repo root).
+bench_scaling / bench_wal / bench_obs_overhead / bench_server /
+bench_dist (schema_version 1, see src/obs/report.h) and diffs them against
+a committed baseline at the repo root: ci/check.sh gates the merged bench
+reports against BENCH_7.json and bench_dist's against BENCH_8.json.
 
 Commands:
   merge OUT IN [IN...]          combine per-bench reports into one file

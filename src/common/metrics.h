@@ -76,8 +76,6 @@ struct WalMetrics {
   Counter& commit_waits = registry.GetCounter("commit_waits");
   /// Group-commit leader rounds, i.e. fsync batches.
   Counter& group_commit_batches = registry.GetCounter("group_commit_batches");
-  /// Leader rounds that took the pile-in pause before their sync.
-  Counter& group_commit_pauses = registry.GetCounter("group_commit_pauses");
   /// Commits made durable per leader round.
   Histogram& batch_size = registry.GetHistogram("batch_size");
   Counter& checkpoints = registry.GetCounter("checkpoints");

@@ -560,10 +560,9 @@ void HddServer::CompletionThread() {
       if (parked_.empty()) return;
       for (const ParkedAck& p : parked_) target = std::max(target, p.ticket);
     }
-    // The group commit sets the batching, pause and fan-out rule
-    // included: this thread is one more waiter in the same gate. On a
-    // single node it is the only one, so it pauses in no round but the
-    // first.
+    // The group commit sets the batching: this thread is one more waiter
+    // in the same gate. On a single node it is the only one, so each of
+    // its rounds covers every commit parked during the last.
     const Status synced = wal_->AwaitParked(target);
     const std::uint64_t stable = wal_->StableTicket();
     {

@@ -172,30 +172,6 @@ std::map<std::string, std::uint64_t> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-std::vector<std::string> MetricsRegistry::CounterNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> MetricsRegistry::GaugeNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> MetricsRegistry::HistogramNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) names.push_back(name);
-  return names;
-}
-
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Set(0);

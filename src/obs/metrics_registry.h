@@ -190,10 +190,6 @@ class MetricsRegistry {
   /// "<name>_max" — one uniform map for reports and table printers.
   std::map<std::string, std::uint64_t> Snapshot() const;
 
-  std::vector<std::string> CounterNames() const;
-  std::vector<std::string> GaugeNames() const;
-  std::vector<std::string> HistogramNames() const;
-
   /// Zeroes every registered metric (counters and histograms). Like
   /// Counter::Set, callers quiesce writers first.
   void Reset();

@@ -1,5 +1,6 @@
 #include "wal/wal_manager.h"
 
+#include "common/sim_hook.h"
 #include "obs/trace.h"
 
 namespace hdd {
@@ -121,7 +122,7 @@ WalManager::~WalManager() {
   for (std::thread& thread : helpers_.threads) thread.join();
 }
 
-Result<SyncBatch> WalManager::SyncAll(bool fan_out) {
+Result<SyncBatch> WalManager::SyncAll() {
   SyncBatch batch;
   // Capture BEFORE syncing: a record ticketed at or below the capture was
   // inside its log's append critical section when the capture happened,
@@ -131,8 +132,9 @@ Result<SyncBatch> WalManager::SyncAll(bool fan_out) {
   // synced — which only makes the published point tighter than claimed.
   batch.stable_ticket = append_ticket_.load(std::memory_order_acquire);
   batch.commits_covered = pending_commits_.exchange(0);
-  if (fan_out) {
-    HDD_RETURN_IF_ERROR(SyncFannedOut());
+  if (options_.group.mode == WalSyncMode::kGroupCommit &&
+      ThreadSimHook() == nullptr && storage_->ConcurrentSyncs()) {
+    HDD_RETURN_IF_ERROR(SyncOverlapped());
     return batch;
   }
   for (SegmentLog& log : logs_) {
@@ -148,7 +150,7 @@ Status WalManager::SyncLog(SegmentLog& log) {
   return Status::OK();
 }
 
-Status WalManager::SyncFannedOut() {
+Status WalManager::SyncOverlapped() {
   std::unique_lock<std::mutex> lock(helpers_.mu);
   helpers_.logs.clear();
   for (SegmentLog& log : logs_) {
@@ -197,12 +199,6 @@ void WalManager::HelperLoop() {
   }
 }
 
-std::uint64_t WalManager::PendingBytes() const {
-  std::uint64_t total = 0;
-  for (const SegmentLog& log : logs_) total += log.unsynced_bytes();
-  return total;
-}
-
 bool WalManager::SyncsBeforeAck() const {
   return options_.group.mode != WalSyncMode::kNone &&
          !options_.mutation_skip_commit_sync;
@@ -223,9 +219,7 @@ bool WalManager::DeferWait(std::uint64_t ticket) {
 
 Status WalManager::AwaitParked(std::uint64_t ticket) {
   if (!SyncsBeforeAck()) return Status::OK();
-  return gate_.AwaitDurable(
-      ticket, [this](bool fan_out) { return SyncAll(fan_out); },
-      [this] { return PendingBytes(); });
+  return gate_.AwaitDurable(ticket, [this] { return SyncAll(); });
 }
 
 std::uint64_t WalManager::StableTicket() const {

@@ -93,19 +93,21 @@ class DeferredCommitWait {
 /// other log syncs beside it. The batch is published only after every
 /// per-log fsync of the round has returned.
 ///
-/// ## Fanned-out rounds
+/// ## Overlapped rounds
 ///
-/// A costly round (group_commit.h) overlaps its fsyncs: the leader and
-/// helper threads claim the dirty logs one at a time from a shared index,
-/// so the round costs about one fdatasync instead of one per dirty log.
-/// A round with n dirty logs starts helpers until there are n − 1, so at
-/// most num_segments − 1; none start during Open, the destructor joins
-/// them, and they run only syncs a leader hands them. The leader claims
-/// logs too,
-/// so a round never waits for a helper to wake. The round fails with its
-/// first error (later logs go unclaimed, as in a serial round), and the
-/// group commit keeps that failure sticky. Cheap rounds, every simulated
-/// round and kPerCommit stay serial on the leader's thread.
+/// A group-commit round overlaps its fsyncs when its storage runs syncs
+/// of different files at once (WalStorage::ConcurrentSyncs): the leader
+/// and helper threads claim the dirty logs one at a time from a shared
+/// index, so the round costs about one fdatasync instead of one per dirty
+/// log. A round with n dirty logs starts helpers until there are n − 1,
+/// so at most num_segments − 1; none start during Open, the destructor
+/// joins them, and they run only syncs a leader hands them. The leader
+/// claims logs too, so a round never waits for a helper to wake. The
+/// round fails with its first error (later logs go unclaimed, as in a
+/// serial round), and the group commit keeps that failure sticky.
+/// kPerCommit, every simulated round, and every round over a storage
+/// whose syncs serialize (SimWalStorage) stay serial on the leader's
+/// thread, so an in-memory WAL starts no helper.
 ///
 /// The on-disk tickets are what recovery's *frontier* is computed from:
 /// only records whose ticket has no missing predecessor anywhere are
@@ -174,9 +176,8 @@ class WalManager {
   bool DeferWait(std::uint64_t ticket);
 
   /// The wait of whoever answers parked commits: blocks like WaitDurable,
-  /// in the same group commit under the same pause and fan-out rule, but
-  /// counts no commit wait, since each parked commit counted its own in
-  /// DeferWait.
+  /// in the same group commit, but counts no commit wait, since each
+  /// parked commit counted its own in DeferWait.
   Status AwaitParked(std::uint64_t ticket);
 
   /// Highest ticket an ack may pass: the group commit's synced frontier.
@@ -213,17 +214,16 @@ class WalManager {
                                      const WalRecord& record);
   /// False under kNone and the canary mutation: commits ack unsynced.
   bool SyncsBeforeAck() const;
-  /// One group-commit round's sync; `fan_out` overlaps the per-log
-  /// fsyncs (see "Fanned-out rounds").
-  Result<SyncBatch> SyncAll(bool fan_out);
+  /// One sync round: captures the ticket and fsyncs every dirty log,
+  /// overlapped where the round may (see "Overlapped rounds").
+  Result<SyncBatch> SyncAll();
   Status SyncLog(SegmentLog& log);
-  /// The leader's side of a fanned-out round.
-  Status SyncFannedOut();
+  /// The leader's side of an overlapped round.
+  Status SyncOverlapped();
   /// Claims and syncs the round's logs until none is left or one failed;
   /// `lock` holds helpers_.mu.
   void ClaimSyncs(std::unique_lock<std::mutex>& lock);
   void HelperLoop();
-  std::uint64_t PendingBytes() const;
 
   WalStorage* storage_;
   WalOptions options_;
@@ -233,7 +233,7 @@ class WalManager {
   std::atomic<std::uint64_t> pending_commits_{0};
   GroupCommit gate_;
 
-  /// The sync helpers and the fanned-out round they share.
+  /// The sync helpers and the overlapped round they share.
   struct Helpers {
     std::mutex mu;
     std::condition_variable work;   // a round has unclaimed logs, or stop

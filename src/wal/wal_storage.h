@@ -27,6 +27,11 @@ namespace hdd {
 ///    the log is a single sequentially-appended file; reordered page
 ///    writeback within one file's tail is out of scope (see
 ///    docs/TUTORIAL.md §8).
+///
+/// Every implementation takes concurrent calls on different files:
+/// appends to different segment logs run under different shard latches.
+/// Appends to ONE file never overlap (each SegmentLog serializes its own
+/// under its append latch); a Sync may run beside them.
 class WalStorage {
  public:
   virtual ~WalStorage() = default;
@@ -45,12 +50,19 @@ class WalStorage {
   /// Drops everything past `size` (recovery chops the torn tail so new
   /// appends continue from a clean frame boundary).
   virtual Status Truncate(const std::string& name, std::uint64_t size) = 0;
+
+  /// Whether Syncs of different files run at once, so a group-commit
+  /// round gains by overlapping them (WalManager, "Overlapped rounds").
+  /// A fact about the class, not a setting; a forwarding decorator
+  /// inherits the default.
+  virtual bool ConcurrentSyncs() const { return true; }
 };
 
 /// In-memory WalStorage for tests and the deterministic simulator: each
 /// file is a synced prefix plus a buffered tail, and `Crash` applies the
 /// documented loss model with seeded randomness — the "SimDisk" the sim
-/// harness kills at yield points.
+/// harness kills at yield points. One mutex serializes every call, so
+/// its syncs never overlap.
 class SimWalStorage : public WalStorage {
  public:
   SimWalStorage() = default;
@@ -60,6 +72,7 @@ class SimWalStorage : public WalStorage {
   Status Append(const std::string& name, std::string_view data) override;
   Status Sync(const std::string& name) override;
   Status Truncate(const std::string& name, std::uint64_t size) override;
+  bool ConcurrentSyncs() const override { return false; }
 
   /// Simulates the machine dying: for every file, the synced prefix
   /// survives, a seeded-random prefix of the buffered tail survives (byte
@@ -90,11 +103,10 @@ class SimWalStorage : public WalStorage {
 /// is fdatasync; a kill -9 leaves whatever the OS flushed, which is the
 /// crash model the on-disk smoke test exercises.
 ///
-/// Calls on different files run concurrently: the mutex guards only the
-/// name-to-descriptor map, and descriptors stay open until the
-/// destructor, so the write, fdatasync, pread, fstat or ftruncate itself
-/// runs unlocked. Appends to ONE file must not overlap (each SegmentLog
-/// serializes its own under its append latch).
+/// Calls on different files run concurrently, fdatasyncs included: the
+/// mutex guards only the name-to-descriptor map, and descriptors stay
+/// open until the destructor, so the write, fdatasync, pread, fstat or
+/// ftruncate itself runs unlocked.
 class FileWalStorage : public WalStorage {
  public:
   explicit FileWalStorage(std::string dir);

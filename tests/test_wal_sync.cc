@@ -1,15 +1,17 @@
-// Tests of the WAL's sync path below the group-commit gate: a costly
-// round overlaps its per-log fsyncs on the leader and helper threads
-// (WalManager, "Fanned-out rounds"), cheap rounds stay on the leader's
-// thread, a failed sync fails the round and every later wait, and
-// FileWalStorage runs calls on different files concurrently. Like
-// tests/held_sync_storage.h, the WalManager tests use an in-memory storage
-// whose Sync blocks, here until enough syncs are inside it at once.
+// Tests of the WAL's sync path below the group-commit gate: a round over
+// a storage whose syncs run at once overlaps its per-log fsyncs on the
+// leader and helper threads (WalManager, "Overlapped rounds"), a round
+// over SimWalStorage stays on the waiting thread, a failed sync fails the
+// round and every later wait, and FileWalStorage runs calls on different
+// files concurrently. Like tests/held_sync_storage.h, the WalManager tests
+// use an in-memory storage whose Sync blocks, here until enough syncs are
+// inside it at once.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -31,17 +33,16 @@
 namespace hdd {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// The leader's pile-in pause (kPileInPause in group_commit.cc).
-constexpr std::chrono::microseconds kPause{100};
 constexpr int kSegments = 4;
 
-/// An in-memory storage that records which thread ran each Sync. While
+/// An in-memory storage that records which thread ran each Sync and, like
+/// a file system, reports that syncs of different files run at once. While
 /// armed with `overlap`, a Sync waits until that many syncs have entered
 /// (up to 5 s, then it fails), and the sync of `fail_name` then fails.
 class OverlapStorage : public SimWalStorage {
  public:
+  bool ConcurrentSyncs() const override { return true; }
+
   void Arm(int overlap, std::string fail_name = "") {
     std::lock_guard<std::mutex> lock(mu_);
     overlap_ = overlap;
@@ -109,51 +110,84 @@ std::uint64_t DirtyThreeLogs(WalManager& wal, TxnId txn) {
   return commit.ok() ? *commit : 0;
 }
 
-TEST(WalSync, CostlyRoundOverlapsItsSyncs) {
+TEST(WalSync, EveryRoundOverlapsItsSyncs) {
+  constexpr int kRounds = 3;
   OverlapStorage storage;
-  storage.Arm(3);
   auto wal = OpenWal(&storage);
   ASSERT_NE(wal, nullptr);
-  const std::uint64_t ticket = DirtyThreeLogs(*wal, 1);
-
-  // The first round is costly (no sync is timed yet), so its three syncs
-  // run at once; serial syncs would each wait out the storage's bound.
-  ASSERT_TRUE(wal->WaitDurable(ticket).ok());
-  EXPECT_EQ(wal->metrics().fsyncs.Value(), 3u);
+  // Each round's three syncs run at once, the first round's included;
+  // serial syncs would each wait out the storage's bound and fail.
+  for (int r = 0; r < kRounds; ++r) {
+    storage.Arm(3);
+    const std::uint64_t ticket =
+        DirtyThreeLogs(*wal, static_cast<TxnId>(r + 1));
+    ASSERT_TRUE(wal->WaitDurable(ticket).ok()) << "round " << r;
+    const std::vector<std::thread::id> threads = storage.TakeSyncThreads();
+    EXPECT_EQ(
+        std::set<std::thread::id>(threads.begin(), threads.end()).size(), 3u)
+        << "round " << r;
+  }
+  EXPECT_EQ(wal->metrics().fsyncs.Value(), std::uint64_t{3 * kRounds});
   EXPECT_EQ(wal->StableTicket(), wal->CurrentTicket());
   EXPECT_EQ(storage.BufferedBytes(), 0u);
-  const std::vector<std::thread::id> threads = storage.TakeSyncThreads();
-  EXPECT_EQ(std::set<std::thread::id>(threads.begin(), threads.end()).size(),
-            3u);
 }
 
-TEST(WalSync, CheapRoundsSyncOnTheLeadersThread) {
-  constexpr int kRounds = 30;
-  OverlapStorage storage;
+/// SimWalStorage as the simulator and the shards use it, whose Sync also
+/// records its thread and lingers up to 50 ms for a second sync to join
+/// it, so a round that handed logs to helper threads shows two at once.
+class LingeringSyncStorage : public SimWalStorage {
+ public:
+  Status Sync(const std::string& name) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      sync_threads_.push_back(std::this_thread::get_id());
+      max_in_sync_ = std::max(max_in_sync_, ++in_sync_);
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::milliseconds(50),
+                   [this] { return in_sync_ > 1; });
+    }
+    const Status status = SimWalStorage::Sync(name);
+    std::lock_guard<std::mutex> lock(mu_);
+    --in_sync_;
+    return status;
+  }
+
+  std::vector<std::thread::id> TakeSyncThreads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(sync_threads_, {});
+  }
+  int max_in_sync() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_in_sync_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int in_sync_ = 0;
+  int max_in_sync_ = 0;
+  std::vector<std::thread::id> sync_threads_;
+};
+
+TEST(WalSync, InMemoryWalSyncsOnTheWaitingThread) {
+  constexpr int kRounds = 2;
+  EXPECT_FALSE(SimWalStorage{}.ConcurrentSyncs());
+  LingeringSyncStorage storage;
   auto wal = OpenWal(&storage);
   ASSERT_NE(wal, nullptr);
-  // In-memory syncs are free, so each round after one whose wait was
-  // shorter than the pause is cheap: serial, on the waiting thread. (The
-  // gate timed that round's sync inside the wait.)
-  bool last_wait_short = false;
-  int checked = 0;
+  // Every dirty log is synced by the thread that waits, one at a time,
+  // the first round included: an in-memory WAL starts no helper.
   for (int r = 0; r < kRounds; ++r) {
     const std::uint64_t ticket =
         DirtyThreeLogs(*wal, static_cast<TxnId>(r + 1));
-    const Clock::time_point start = Clock::now();
     ASSERT_TRUE(wal->WaitDurable(ticket).ok());
-    const bool wait_short = Clock::now() - start < kPause;
     const std::vector<std::thread::id> threads = storage.TakeSyncThreads();
     EXPECT_EQ(threads.size(), 3u) << "round " << r;
-    if (last_wait_short) {
-      ++checked;
-      for (const std::thread::id id : threads) {
-        EXPECT_EQ(id, std::this_thread::get_id()) << "round " << r;
-      }
+    for (const std::thread::id id : threads) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << "round " << r;
     }
-    last_wait_short = wait_short;
   }
-  EXPECT_GE(checked, kRounds / 2);
+  EXPECT_EQ(storage.max_in_sync(), 1);
   EXPECT_EQ(wal->StableTicket(), wal->CurrentTicket());
 }
 
@@ -205,6 +239,7 @@ TEST(FileWalStorageConcurrency, ConcurrentAppendsSyncsAndOpensKeepEveryFrame) {
   const std::string dir = dir_template;
   {
     FileWalStorage storage(dir);
+    EXPECT_TRUE(storage.ConcurrentSyncs());
     std::vector<std::thread> threads;
     for (int w = 0; w < kWriters; ++w) {
       threads.emplace_back([&storage, w] {
